@@ -113,7 +113,6 @@ from repro.graphs import generators, partitions
 from repro.graphs.hard_instances import square_instance
 from repro.graphs.spanning_trees import SpanningTree
 from repro.graphs.weights import hub_adversarial_weights, weighted
-from repro.service.chaos import run_chaos_suite
 from repro.service.client import spec_to_json
 from repro.service.server import PARAM_DEFAULTS, ShortcutService
 from repro.service.store import PersistentStore, spec_key
@@ -2224,6 +2223,10 @@ def run_e20(scale: str = "small") -> ExperimentResult:
     ``benchmarks/conftest.py`` for the schema.  The benchmark gate
     requires pooled warm throughput at least 3x cold.
     """
+    # Imported here: repro.service.chaos imports this package, so a
+    # module-level import would make ``import repro.service`` circular.
+    from repro.service.chaos import run_chaos_suite
+
     warm_passes = 3 if scale == "paper" else 2
     clear_instance_cache()
     rows = []

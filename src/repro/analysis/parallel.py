@@ -13,7 +13,7 @@ worker processes while keeping the results **deterministic**:
   ``jobs=`` argument.
 
 Workers are separate processes, so task functions must be module-level
-(picklable) and must not rely on the parent's process-wide defaults:
+(picklable) and must not rely on the parent's axis scopes:
 pass the engine name in the task payload and re-enter
 ``using_engine(...)`` inside the worker (see the ``_eXX_task`` workers
 in :mod:`repro.analysis.experiments`).

@@ -201,7 +201,7 @@ def minimum_spanning_tree(
         Watchdog on Borůvka phases (default ``8 log2 n + 8``).
     construct_mode:
         Construction kernels for the per-phase FindShortcut
-        (``"simulate"`` / ``"direct"``; ``None`` = process default).
+        (``"simulate"`` / ``"direct"``; ``None`` = current scope's mode).
     backend:
         Partwise backend for every aggregation/broadcast superstep
         (``"simulate"`` / ``"direct"``; injected by

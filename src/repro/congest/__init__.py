@@ -21,7 +21,6 @@ from repro.congest.engine import (
     engine_parameter,
     get_default_engine,
     resolve_engine,
-    set_default_engine,
     using_engine,
 )
 from repro.congest.simulator import RunResult, Simulator, run_algorithm
@@ -31,7 +30,6 @@ from repro.congest.faults import (
     FaultyEngine,
     faults_parameter,
     get_default_faults,
-    set_default_faults,
     using_faults,
 )
 from repro.congest.reliable import ReliableRunResult, run_reliably
@@ -60,7 +58,6 @@ __all__ = [
     "ReferenceEngine",
     "BatchedEngine",
     "get_default_engine",
-    "set_default_engine",
     "using_engine",
     "resolve_engine",
     "RunResult",
@@ -71,7 +68,6 @@ __all__ = [
     "FaultyEngine",
     "faults_parameter",
     "get_default_faults",
-    "set_default_faults",
     "using_faults",
     "ReliableRunResult",
     "run_reliably",

@@ -57,17 +57,17 @@ Selecting an engine
 ``Simulator(..., engine="reference")`` selects per call site, and most
 high-level wrappers (``build_bfs_tree``, ``core_slow``, ``core_fast``,
 ``minimum_spanning_tree``, …) forward an ``engine=`` keyword.  The
-process-wide default (``"batched"``) can be changed with
-:func:`set_default_engine` or temporarily with :func:`using_engine`.
+default (``"batched"``) is the :data:`ENGINE` axis of
+:mod:`repro.axes`: :func:`using_engine` selects another engine for the
+enclosed block on the current thread only.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Type, Union
 
+from repro.axes import Axis
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.message import (
     FRAME_BITS,
@@ -580,7 +580,7 @@ class BatchedEngine(EngineBase):
 
 
 # ----------------------------------------------------------------------
-# Registry and default selection
+# Registry and the engine= axis
 # ----------------------------------------------------------------------
 
 ENGINES: Dict[str, Type[EngineBase]] = {
@@ -588,60 +588,10 @@ ENGINES: Dict[str, Type[EngineBase]] = {
     BatchedEngine.name: BatchedEngine,
 }
 
-DEFAULT_ENGINE = BatchedEngine.name
-
-_default_engine = DEFAULT_ENGINE
-
 EngineLike = Union[None, str, Type[EngineBase]]
 
 
-def get_default_engine() -> str:
-    """Name of the engine used when none is specified."""
-    return _default_engine
-
-
-def set_default_engine(engine: EngineLike) -> str:
-    """Set the process-wide default engine; returns the previous name."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = resolve_engine(engine).name
-    return previous
-
-
-@contextmanager
-def using_engine(engine: EngineLike) -> Iterator[str]:
-    """Temporarily override the default engine (``None`` is a no-op)."""
-    if engine is None:
-        yield _default_engine
-        return
-    previous = set_default_engine(engine)
-    try:
-        yield _default_engine
-    finally:
-        set_default_engine(previous)
-
-
-def engine_parameter(func):
-    """Give an entry point an ``engine=`` keyword selecting the engine.
-
-    The decorated function gains an ``engine`` keyword argument (name,
-    class, or ``None`` for the current default); for the duration of
-    the call it becomes the process default, so every simulation the
-    function runs — however deeply nested — executes on that engine.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, engine: EngineLike = None, **kwargs):
-        with using_engine(engine):
-            return func(*args, **kwargs)
-
-    return wrapper
-
-
-def resolve_engine(engine: EngineLike) -> Type[EngineBase]:
-    """Map an engine spec (name, class, or ``None``) to an engine class."""
-    if engine is None:
-        return ENGINES[_default_engine]
+def _parse_engine(engine: EngineLike) -> Type[EngineBase]:
     if isinstance(engine, str):
         try:
             return ENGINES[engine]
@@ -652,3 +602,16 @@ def resolve_engine(engine: EngineLike) -> Type[EngineBase]:
     if isinstance(engine, type) and issubclass(engine, EngineBase):
         return engine
     raise SimulationError(f"not an engine spec: {engine!r}")
+
+
+ENGINE = Axis("engine", BatchedEngine, _parse_engine, SimulationError)
+
+
+def get_default_engine() -> str:
+    """Name of the engine used when none is specified."""
+    return ENGINE.get().name
+
+
+using_engine = ENGINE.using
+resolve_engine = ENGINE.resolve
+engine_parameter = ENGINE.parameter("engine")

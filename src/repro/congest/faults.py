@@ -20,11 +20,13 @@ The ``faults=`` axis
 --------------------
 
 Like ``engine=`` / ``kernel=`` / ``mode=`` / ``backend=`` / ``batch=``,
-fault injection is a process-wide axis: :func:`set_default_faults`,
-:func:`using_faults`, and :func:`faults_parameter` mirror the engine
-registry idiom, and :class:`~repro.congest.simulator.Simulator` accepts
-``faults=`` directly.  A plan spec is ``None`` (current default, itself
-``None`` = fault-free out of the box), the string ``"none"`` (expressly
+fault injection is a context-scoped :class:`~repro.axes.Axis`
+(:data:`FAULTS`): :func:`using_faults` selects a plan for the enclosed
+block on the current thread only, :func:`faults_parameter` gives an
+entry point a ``faults=`` keyword, and
+:class:`~repro.congest.simulator.Simulator` accepts ``faults=``
+directly.  A plan spec is ``None`` (the current scope's plan, itself
+``None`` = fault-free by default), the string ``"none"`` (expressly
 fault-free), or a :class:`FaultPlan`.
 
 Crash schedules derive from the failure layer: pass any
@@ -37,12 +39,11 @@ a mid-protocol dynamic fault.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
+from repro.axes import Axis
 from repro.congest.engine import EngineBase, EngineLike, RunResult, resolve_engine
 from repro.congest.randomness import coin, mix
 from repro.congest.topology import canonical_edge
@@ -362,64 +363,13 @@ class FaultyEngine(EngineBase):
 
 
 # ----------------------------------------------------------------------
-# The faults= axis (registry idiom shared with engine=/kernel=/...)
+# The faults= axis
 # ----------------------------------------------------------------------
 
 FaultsLike = Union[None, str, FaultPlan]
 
-_default_faults: Optional[FaultPlan] = None
 
-
-def get_default_faults() -> Optional[FaultPlan]:
-    """The plan applied when no ``faults=`` is specified (None = clean)."""
-    return _default_faults
-
-
-def set_default_faults(faults: FaultsLike) -> Optional[FaultPlan]:
-    """Set the process-wide default plan; returns the previous one.
-
-    Accepts a :class:`FaultPlan` or the string ``"none"`` (expressly
-    fault-free).  Unlike the per-call spec, ``None`` here also means
-    fault-free, so the default can be cleared.
-    """
-    global _default_faults
-    previous = _default_faults
-    _default_faults = None if faults is None else _resolve_spec(faults)
-    return previous
-
-
-@contextmanager
-def using_faults(faults: FaultsLike) -> Iterator[Optional[FaultPlan]]:
-    """Temporarily override the default plan (``None`` is a no-op)."""
-    if faults is None:
-        yield _default_faults
-        return
-    previous = set_default_faults(faults)
-    try:
-        yield _default_faults
-    finally:
-        set_default_faults(previous)
-
-
-def faults_parameter(func):
-    """Give an entry point a ``faults=`` keyword selecting the plan.
-
-    Mirrors :func:`repro.congest.engine.engine_parameter`: for the
-    duration of the call the plan becomes the process default, so every
-    simulation the function runs — however deeply nested — executes
-    under it.  Direct (simulation-free) kernels are unaffected; faults
-    are a property of the simulated execution.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, faults: FaultsLike = None, **kwargs):
-        with using_faults(faults):
-            return func(*args, **kwargs)
-
-    return wrapper
-
-
-def _resolve_spec(faults: FaultsLike) -> Optional[FaultPlan]:
+def _parse_faults(faults: FaultsLike) -> Optional[FaultPlan]:
     if isinstance(faults, FaultPlan):
         return faults
     if isinstance(faults, str):
@@ -431,13 +381,10 @@ def _resolve_spec(faults: FaultsLike) -> Optional[FaultPlan]:
     raise SimulationError(f"not a fault spec: {faults!r}")
 
 
-def resolve_faults(faults: FaultsLike) -> Optional[FaultPlan]:
-    """Map a fault spec to a plan (or ``None`` for fault-free).
+# The stored value is the plan; ``None`` (the default) is fault-free.
+FAULTS = Axis("faults", None, _parse_faults, SimulationError)
 
-    ``None`` selects the process default; ``"none"`` is expressly
-    fault-free regardless of the default; a :class:`FaultPlan` is
-    itself.
-    """
-    if faults is None:
-        return _default_faults
-    return _resolve_spec(faults)
+get_default_faults = FAULTS.get
+using_faults = FAULTS.using
+resolve_faults = FAULTS.resolve
+faults_parameter = FAULTS.parameter("faults")

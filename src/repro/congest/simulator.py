@@ -63,8 +63,8 @@ class Simulator:
     engine:
         Which execution engine to use: ``"batched"`` (default),
         ``"reference"``, an :class:`~repro.congest.engine.EngineBase`
-        subclass, or ``None`` for the process-wide default (see
-        :func:`~repro.congest.engine.set_default_engine`).
+        subclass, or ``None`` for the current scope's engine (see
+        :func:`~repro.congest.engine.using_engine`).
     audit_sample:
         Audit every ``audit_sample``-th message instead of every one
         (``1`` = full audit).  Sampling keeps the asymptotic-violation
@@ -72,8 +72,8 @@ class Simulator:
     faults:
         Dynamic-fault plan: a
         :class:`~repro.congest.faults.FaultPlan`, ``"none"`` for an
-        expressly clean run, or ``None`` for the process-wide default
-        (see :func:`~repro.congest.faults.set_default_faults`).  A
+        expressly clean run, or ``None`` for the current scope's plan
+        (see :func:`~repro.congest.faults.using_faults`).  A
         non-``None`` plan wraps the selected engine in
         :class:`~repro.congest.faults.FaultyEngine`.
     """

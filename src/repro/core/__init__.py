@@ -32,7 +32,6 @@ from repro.core.quality import (
     get_default_kernel,
     lemma1_bound,
     measure,
-    set_default_kernel,
     shortcut_congestion,
     using_kernel,
 )
@@ -58,7 +57,6 @@ from repro.core.partwise_fast import (
     BACKENDS,
     backend_parameter,
     get_default_backend,
-    set_default_backend,
     using_backend,
 )
 from repro.core.core_slow import CoreOutcome, core_slow, core_slow_reference
@@ -72,12 +70,10 @@ from repro.core.verification import VerificationOutcome, verification
 from repro.core.batch import (
     BATCHES,
     PipelineResult,
-    batch_parameter,
     core_slow_batch,
     get_default_batch,
     measure_batch,
     run_pipeline,
-    set_default_batch,
     using_batch,
     verification_batch,
 )
@@ -85,7 +81,6 @@ from repro.core.construct_fast import (
     MODES,
     construct_mode_parameter,
     get_default_mode,
-    set_default_mode,
     using_mode,
 )
 from repro.core.find_shortcut import (
@@ -103,7 +98,6 @@ __all__ = [
     "BlockComponent",
     "QualityReport",
     "get_default_kernel",
-    "set_default_kernel",
     "using_kernel",
     "quality_fast",
     "block_components",
@@ -130,7 +124,6 @@ __all__ = [
     "BACKENDS",
     "backend_parameter",
     "get_default_backend",
-    "set_default_backend",
     "using_backend",
     "CoreOutcome",
     "core_slow",
@@ -143,18 +136,15 @@ __all__ = [
     "verification",
     "BATCHES",
     "PipelineResult",
-    "batch_parameter",
     "core_slow_batch",
     "get_default_batch",
     "measure_batch",
     "run_pipeline",
-    "set_default_batch",
     "using_batch",
     "verification_batch",
     "MODES",
     "construct_mode_parameter",
     "get_default_mode",
-    "set_default_mode",
     "using_mode",
     "ConstructionState",
     "FindShortcutResult",

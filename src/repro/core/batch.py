@@ -15,6 +15,9 @@ selection axis, ``batch=``, mirroring ``engine=`` / ``kernel=`` /
   :class:`~repro.graphs.batch_csr.ShortcutPack` and computes the same
   quantities in single numpy ops over the concatenation.
 
+Entry points take ``batch=``; ``None`` uses the :data:`BATCH` axis,
+which :func:`using_batch` sets for a block on the current thread only.
+
 The vectorized twins cover the hottest per-instance kernels:
 
 * **block counts** (:func:`block_counts_batch`) — the per-part
@@ -67,13 +70,10 @@ without numpy raises the install-hint error of
 
 from __future__ import annotations
 
-import functools
 import math
-from contextlib import contextmanager
 from typing import (
     Dict,
     Iterable,
-    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -82,6 +82,7 @@ from typing import (
     Union,
 )
 
+from repro.axes import Axis
 from repro.congest.randomness import draw_shared_seed, mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
@@ -104,68 +105,16 @@ from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
 # ----------------------------------------------------------------------
-# Batch registry (loop vs vector), mirroring engines/kernels/modes
+# The batch= axis (loop vs vector)
 # ----------------------------------------------------------------------
 
 BATCHES: Tuple[str, ...] = ("loop", "vector")
 
-DEFAULT_BATCH = "loop"
+BATCH = Axis.of_choices("batch", "loop", BATCHES, ShortcutError)
 
-_default_batch = DEFAULT_BATCH
-
-
-def get_default_batch() -> str:
-    """Name of the batch strategy used when none is specified."""
-    return _default_batch
-
-
-def set_default_batch(batch: Optional[str]) -> str:
-    """Set the process-wide default batch strategy; returns the previous."""
-    global _default_batch
-    previous = _default_batch
-    _default_batch = resolve_batch(batch)
-    return previous
-
-
-@contextmanager
-def using_batch(batch: Optional[str]) -> Iterator[str]:
-    """Temporarily override the default batch strategy (``None`` no-op)."""
-    if batch is None:
-        yield _default_batch
-        return
-    previous = set_default_batch(batch)
-    try:
-        yield _default_batch
-    finally:
-        set_default_batch(previous)
-
-
-def resolve_batch(batch: Optional[str]) -> str:
-    """Validate a batch strategy name (``None`` means the default)."""
-    if batch is None:
-        return _default_batch
-    if batch not in BATCHES:
-        raise ShortcutError(
-            f"unknown batch strategy {batch!r}; available: {sorted(BATCHES)}"
-        )
-    return batch
-
-
-def batch_parameter(func):
-    """Give an entry point a ``batch=`` keyword.
-
-    For the duration of the call the given strategy becomes the
-    process default, so every batched computation the function runs —
-    however deeply nested — uses it.  The decorated twin of
-    :func:`repro.congest.engine.engine_parameter`.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, batch: Optional[str] = None, **kwargs):
-        with using_batch(batch):
-            return func(*args, **kwargs)
-
-    return wrapper
+get_default_batch = BATCH.get
+using_batch = BATCH.using
+resolve_batch = BATCH.resolve
 
 
 # ----------------------------------------------------------------------
@@ -1599,12 +1548,10 @@ def run_pipeline(
 
 __all__ = [
     "BATCHES",
-    "DEFAULT_BATCH",
+    "BATCH",
     "get_default_batch",
-    "set_default_batch",
     "using_batch",
     "resolve_batch",
-    "batch_parameter",
     "numpy_available",
     "pack_batch",
     "pack_shortcuts",

@@ -20,8 +20,9 @@ Selection is threaded through :func:`~repro.core.find_shortcut.find_shortcut`,
 :func:`~repro.core.verification.verification`,
 :func:`~repro.core.core_slow.core_slow` and
 :func:`~repro.core.core_fast.core_fast` exactly like ``engine=`` and
-``kernel=``: a ``mode=`` keyword per call site, a process-wide default
-(:func:`set_default_mode`), and a scoped override (:func:`using_mode`).
+``kernel=``: a ``mode=`` keyword per call site, and the context-scoped
+:data:`MODE` axis (:func:`using_mode`, :func:`construct_mode_parameter`)
+whose overrides hold for the enclosed block on the current thread only.
 
 Equivalence contract
 --------------------
@@ -87,9 +88,9 @@ batched engine and the quality kernels make.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.axes import Axis
 from repro.congest.randomness import seed_chunk_count
 from repro.congest.topology import Edge, Topology
 from repro.congest.trace import RoundLedger
@@ -102,69 +103,17 @@ from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
 # ----------------------------------------------------------------------
-# Mode registry (simulate vs direct), mirroring engines and kernels
+# The mode= axis (simulate vs direct)
 # ----------------------------------------------------------------------
 
 MODES: Tuple[str, ...] = ("simulate", "direct")
 
-DEFAULT_MODE = "simulate"
+MODE = Axis.of_choices("mode", "simulate", MODES, ShortcutError)
 
-_default_mode = DEFAULT_MODE
-
-
-def get_default_mode() -> str:
-    """Name of the construction mode used when none is specified."""
-    return _default_mode
-
-
-def set_default_mode(mode: Optional[str]) -> str:
-    """Set the process-wide default mode; returns the previous name."""
-    global _default_mode
-    previous = _default_mode
-    _default_mode = resolve_mode(mode)
-    return previous
-
-
-@contextmanager
-def using_mode(mode: Optional[str]) -> Iterator[str]:
-    """Temporarily override the default mode (``None`` is a no-op)."""
-    if mode is None:
-        yield _default_mode
-        return
-    previous = set_default_mode(mode)
-    try:
-        yield _default_mode
-    finally:
-        set_default_mode(previous)
-
-
-def resolve_mode(mode: Optional[str]) -> str:
-    """Validate a mode name (``None`` means the current default)."""
-    if mode is None:
-        return _default_mode
-    if mode not in MODES:
-        raise ShortcutError(
-            f"unknown construction mode {mode!r}; available: {sorted(MODES)}"
-        )
-    return mode
-
-
-def construct_mode_parameter(func):
-    """Give an entry point a ``construct_mode=`` keyword.
-
-    For the duration of the call the given mode becomes the process
-    default, so every construction the function runs — however deeply
-    nested — uses it.  The decorated twin of
-    :func:`repro.congest.engine.engine_parameter`.
-    """
-    import functools
-
-    @functools.wraps(func)
-    def wrapper(*args, construct_mode: Optional[str] = None, **kwargs):
-        with using_mode(construct_mode):
-            return func(*args, **kwargs)
-
-    return wrapper
+get_default_mode = MODE.get
+using_mode = MODE.using
+resolve_mode = MODE.resolve
+construct_mode_parameter = MODE.parameter("construct_mode")
 
 
 # ----------------------------------------------------------------------

@@ -196,7 +196,7 @@ def find_shortcut(
         ``"simulate"`` (default) runs every phase as a CONGEST node
         program; ``"direct"`` computes identical outputs with the array
         kernels of :mod:`repro.core.construct_fast`.  ``None`` uses the
-        process-wide default (:func:`~repro.core.construct_fast.using_mode`).
+        current scope's mode (:func:`~repro.core.construct_fast.using_mode`).
     warm_start:
         A :class:`ConstructionState` from a previous failed run: only
         its ``remaining`` parts are constructed for, on top of its

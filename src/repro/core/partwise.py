@@ -93,9 +93,8 @@ class PartwiseEngine:
         ``"simulate"`` runs every superstep on the CONGEST simulator;
         ``"direct"`` computes identical results (and identical ledger
         charges) with the replay kernels of
-        :mod:`repro.core.partwise_fast`.  ``None`` uses the
-        process-wide default
-        (:func:`~repro.core.partwise_fast.using_backend`).
+        :mod:`repro.core.partwise_fast`.  ``None`` uses the current
+        scope's backend (:func:`~repro.core.partwise_fast.using_backend`).
     """
 
     def __init__(

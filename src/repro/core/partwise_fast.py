@@ -17,9 +17,9 @@ at the application layer — the engine split of
 
 Selection mirrors ``engine=`` / ``kernel=`` / ``mode=``: a ``backend=``
 keyword per call site (``PartwiseEngine``, ``exchange_labels``,
-``fragment_aggregate``, every app entry point), a process-wide default
-(:func:`set_default_backend`), and a scoped override
-(:func:`using_backend` / :func:`backend_parameter`).
+``fragment_aggregate``, every app entry point), and the context-scoped
+:data:`BACKEND` axis (:func:`using_backend` / :func:`backend_parameter`)
+whose overrides hold for the enclosed block on the current thread only.
 
 Equivalence contract
 --------------------
@@ -73,11 +73,10 @@ costs at most ``b (2 (D + c + 2) + 1)`` rounds — the
 
 from __future__ import annotations
 
-import functools
 import heapq
-from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+from repro.axes import Axis
 from repro.congest.topology import Topology
 from repro.core.tree_routing import SubtreeTask, TaskKey, _combine, _task_children
 from repro.errors import ShortcutError
@@ -86,70 +85,17 @@ from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
 # ----------------------------------------------------------------------
-# Backend registry (simulate vs direct), mirroring engines/kernels/modes
+# The backend= axis (simulate vs direct)
 # ----------------------------------------------------------------------
 
 BACKENDS: Tuple[str, ...] = ("simulate", "direct")
 
-DEFAULT_BACKEND = "simulate"
+BACKEND = Axis.of_choices("backend", "simulate", BACKENDS, ShortcutError)
 
-_default_backend = DEFAULT_BACKEND
-
-
-def get_default_backend() -> str:
-    """Name of the partwise backend used when none is specified."""
-    return _default_backend
-
-
-def set_default_backend(backend: Optional[str]) -> str:
-    """Set the process-wide default backend; returns the previous name."""
-    global _default_backend
-    previous = _default_backend
-    _default_backend = resolve_backend(backend)
-    return previous
-
-
-@contextmanager
-def using_backend(backend: Optional[str]) -> Iterator[str]:
-    """Temporarily override the default backend (``None`` is a no-op)."""
-    if backend is None:
-        yield _default_backend
-        return
-    previous = set_default_backend(backend)
-    try:
-        yield _default_backend
-    finally:
-        set_default_backend(previous)
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Validate a backend name (``None`` means the current default)."""
-    if backend is None:
-        return _default_backend
-    if backend not in BACKENDS:
-        raise ShortcutError(
-            f"unknown partwise backend {backend!r}; available: {sorted(BACKENDS)}"
-        )
-    return backend
-
-
-def backend_parameter(func):
-    """Give an entry point a ``backend=`` keyword.
-
-    For the duration of the call the given backend becomes the process
-    default, so every partwise engine the function constructs — however
-    deeply nested (including the Verification runs inside FindShortcut)
-    — uses it.  The application-layer twin of
-    :func:`repro.congest.engine.engine_parameter` and
-    :func:`repro.core.construct_fast.construct_mode_parameter`.
-    """
-
-    @functools.wraps(func)
-    def wrapper(*args, backend: Optional[str] = None, **kwargs):
-        with using_backend(backend):
-            return func(*args, **kwargs)
-
-    return wrapper
+get_default_backend = BACKEND.get
+using_backend = BACKEND.using
+resolve_backend = BACKEND.resolve
+backend_parameter = BACKEND.parameter("backend")
 
 
 # ----------------------------------------------------------------------

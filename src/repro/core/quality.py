@@ -24,10 +24,10 @@ bit-for-bit identical reports.
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.axes import Axis
 from repro.congest.topology import Edge, Topology, canonical_edge
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
@@ -35,51 +35,16 @@ from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
 # ----------------------------------------------------------------------
-# Kernel registry (reference vs fast), mirroring the engine registry
+# The kernel= axis (reference vs fast)
 # ----------------------------------------------------------------------
 
 KERNELS: Tuple[str, ...] = ("reference", "fast")
 
-DEFAULT_KERNEL = "fast"
+KERNEL = Axis.of_choices("kernel", "fast", KERNELS, ShortcutError)
 
-_default_kernel = DEFAULT_KERNEL
-
-
-def get_default_kernel() -> str:
-    """Name of the quality kernel used when none is specified."""
-    return _default_kernel
-
-
-def set_default_kernel(kernel: Optional[str]) -> str:
-    """Set the process-wide default kernel; returns the previous name."""
-    global _default_kernel
-    previous = _default_kernel
-    _default_kernel = resolve_kernel(kernel)
-    return previous
-
-
-@contextmanager
-def using_kernel(kernel: Optional[str]) -> Iterator[str]:
-    """Temporarily override the default kernel (``None`` is a no-op)."""
-    if kernel is None:
-        yield _default_kernel
-        return
-    previous = set_default_kernel(kernel)
-    try:
-        yield _default_kernel
-    finally:
-        set_default_kernel(previous)
-
-
-def resolve_kernel(kernel: Optional[str]) -> str:
-    """Validate a kernel name (``None`` means the current default)."""
-    if kernel is None:
-        return _default_kernel
-    if kernel not in KERNELS:
-        raise ShortcutError(
-            f"unknown quality kernel {kernel!r}; available: {sorted(KERNELS)}"
-        )
-    return kernel
+get_default_kernel = KERNEL.get
+using_kernel = KERNEL.using
+resolve_kernel = KERNEL.resolve
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,10 @@ class _HookState:
     io_reads_left: int = 0
     io_writes_left: int = 0
     read_latency_s: float = 0.0
-    kill_next_commit: bool = False
+    # Ident of the thread whose next commit dies.  Only that thread:
+    # a pool computation left running by an earlier slot may commit
+    # concurrently and must not consume the kill.
+    kill_commit_thread: Optional[int] = None
 
 
 @dataclass
@@ -196,8 +199,8 @@ class FaultSchedule:
             raise OSError("chaos: injected write error")
 
     def _during_commit(self, key: str, tmp: Path) -> None:
-        if self.state.kill_next_commit:
-            self.state.kill_next_commit = False
+        if self.state.kill_commit_thread == threading.get_ident():
+            self.state.kill_commit_thread = None
             raise KilledWriter(f"chaos: writer killed committing {key}")
 
     # -- per-slot decisions --------------------------------------------
@@ -270,7 +273,7 @@ def simulate_killed_writer(
     """
     path = store.path_for(key)
     before = path.read_bytes() if path.exists() else None
-    schedule.state.kill_next_commit = True
+    schedule.state.kill_commit_thread = threading.get_ident()
     try:
         # An armed IO-error window may abort the write before the kill
         # seam fires (put returns False); either way the commit must
@@ -279,7 +282,7 @@ def simulate_killed_writer(
     except KilledWriter:
         completed = False
     finally:
-        schedule.state.kill_next_commit = False
+        schedule.state.kill_commit_thread = None
     if completed:
         raise ChaosViolation("killed writer completed its commit")
     after = path.read_bytes() if path.exists() else None

@@ -303,7 +303,11 @@ def parse_request(op: str, body: Dict) -> Tuple[InstanceSpec, Dict]:
 
 @dataclass
 class ServiceStats:
-    """Request-lifecycle counters; all monotone, read via /v1/stats."""
+    """Request-lifecycle counters; all monotone, read via /v1/stats.
+
+    Handler, pool and batch-timer threads all count here, so every
+    update goes through :meth:`bump` under the stats' own lock.
+    """
 
     requests: int = 0
     warm_hits: int = 0
@@ -315,9 +319,20 @@ class ServiceStats:
     bad_requests: int = 0
     compute_errors: int = 0
     store_failures: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def bump(self, *names: str) -> None:
+        """Add one to each named counter."""
+        with self._lock:
+            for name in names:
+                setattr(self, name, getattr(self, name) + 1)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+        """A consistent snapshot of every counter."""
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
 
 @dataclass
@@ -418,7 +433,7 @@ class ShortcutService:
         try:
             return self.store.get(key)
         except Exception:
-            self.stats.store_failures += 1
+            self.stats.bump("store_failures")
             return None
 
     def _store_put(self, key: str, payload: object) -> None:
@@ -426,9 +441,9 @@ class ShortcutService:
             return
         try:
             if not self.store.put(key, payload):
-                self.stats.store_failures += 1
+                self.stats.bump("store_failures")
         except Exception:
-            self.stats.store_failures += 1
+            self.stats.bump("store_failures")
 
     # -- the request path ----------------------------------------------
 
@@ -443,18 +458,18 @@ class ShortcutService:
         shortcut), ``503`` (shed, with ``Retry-After``), ``504``
         (deadline expired), or ``500`` (unexpected internal error).
         """
-        self.stats.requests += 1
+        self.stats.bump("requests")
         try:
             spec, params = parse_request(op, body)
         except BadRequest as error:
-            self.stats.bad_requests += 1
+            self.stats.bump("bad_requests")
             return ServiceResponse(400, {"error": str(error), "kind": "bad-request"})
         if deadline_s is None:
             raw = body.get("deadline_s", self.max_deadline_s)
             try:
                 deadline_s = float(raw)
             except (TypeError, ValueError):
-                self.stats.bad_requests += 1
+                self.stats.bump("bad_requests")
                 return ServiceResponse(
                     400, {"error": "deadline_s must be a number", "kind": "bad-request"}
                 )
@@ -463,7 +478,7 @@ class ShortcutService:
         key = spec_key(op, spec, **params)
         cached = self._store_get(key)
         if cached is not None:
-            self.stats.warm_hits += 1
+            self.stats.bump("warm_hits")
             return ServiceResponse(
                 200, {"result": cached, "key": key, "warm": True}
             )
@@ -473,10 +488,10 @@ class ShortcutService:
         with self._lock:
             future = self._inflight.get(key)
             if future is not None:
-                self.stats.singleflight_joined += 1
+                self.stats.bump("singleflight_joined")
             else:
                 if self._pending >= self.queue_limit:
-                    self.stats.shed += 1
+                    self.stats.bump("shed")
                     return ServiceResponse(
                         503,
                         {"error": "work queue full", "kind": "overload"},
@@ -496,7 +511,7 @@ class ShortcutService:
         except FutureTimeout:
             # The computation keeps running and will populate the
             # store; the client's retry lands warm.
-            self.stats.deadline_expired += 1
+            self.stats.bump("deadline_expired")
             return ServiceResponse(
                 504, {"error": "deadline expired", "kind": "deadline", "key": key}
             )
@@ -507,28 +522,30 @@ class ShortcutService:
             return ServiceResponse(422, {"error": payload, "kind": "unprocessable"})
         return ServiceResponse(500, {"error": payload, "kind": "internal"})
 
+    def _failure(self, error: Exception) -> Tuple[str, str]:
+        """Count a failed computation: ``invalid`` if a domain error, else ``error``."""
+        self.stats.bump("compute_errors")
+        if isinstance(error, ReproError):
+            return ("invalid", str(error))
+        return ("error", f"{type(error).__name__}: {error}")
+
     def _compute(
         self, key: str, op: str, spec: InstanceSpec, params: Dict
     ) -> Tuple[str, object]:
         """Worker-side computation; returns ``(kind, payload)``.
 
         Exceptions never escape (a poisoned future would wedge every
-        single-flight joiner): domain errors become ``invalid``,
-        anything else ``error``.  The in-flight slot is always
-        released.
+        single-flight joiner): they become :meth:`_failure` outcomes.
+        The in-flight slot is always released.
         """
         try:
             instance = hydrate(spec)
             result = OPERATIONS[op](instance, params)
-            self.stats.computed += 1
+            self.stats.bump("computed")
             self._store_put(key, result)
             return ("ok", result)
-        except ReproError as error:
-            self.stats.compute_errors += 1
-            return ("invalid", str(error))
         except Exception as error:  # noqa: BLE001 — clean error, never a wrong answer
-            self.stats.compute_errors += 1
-            return ("error", f"{type(error).__name__}: {error}")
+            return self._failure(error)
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
@@ -602,14 +619,8 @@ class ShortcutService:
                     seed=params["seed"],
                     mode=params["mode"],
                 )
-            except ReproError as error:
-                self.stats.compute_errors += 1
-                self._finish(key, future, ("invalid", str(error)))
             except Exception as error:  # noqa: BLE001
-                self.stats.compute_errors += 1
-                self._finish(
-                    key, future, ("error", f"{type(error).__name__}: {error}")
-                )
+                self._finish(key, future, self._failure(error))
             else:
                 built.append((key, future, instance, outcome))
         if not built:
@@ -637,18 +648,11 @@ class ShortcutService:
                     )
                 )
                 result = payload_fn(outcome, report)
-                self.stats.computed += 1
-                self.stats.batched += 1
+                self.stats.bump("computed", "batched")
                 self._store_put(key, result)
                 self._finish(key, future, ("ok", result))
-            except ReproError as error:
-                self.stats.compute_errors += 1
-                self._finish(key, future, ("invalid", str(error)))
             except Exception as error:  # noqa: BLE001
-                self.stats.compute_errors += 1
-                self._finish(
-                    key, future, ("error", f"{type(error).__name__}: {error}")
-                )
+                self._finish(key, future, self._failure(error))
 
     def stats_payload(self) -> Dict:
         payload = {"service": self.stats.as_dict()}

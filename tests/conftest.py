@@ -2,11 +2,29 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+from typing import Dict
+
 import pytest
 
 from repro.congest.topology import Topology
 from repro.graphs import generators, partitions
 from repro.graphs.spanning_trees import SpanningTree
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def subprocess_env() -> Dict[str, str]:
+    """Environment for a child interpreter that imports ``repro``.
+
+    A child does not inherit pytest's ``pythonpath`` ini setting, so
+    the src layout goes on ``PYTHONPATH`` explicitly.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 @pytest.fixture

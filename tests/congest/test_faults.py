@@ -15,7 +15,6 @@ from repro.congest.faults import (
     FaultPlan,
     faults_parameter,
     get_default_faults,
-    set_default_faults,
     using_faults,
 )
 from repro.congest.simulator import Simulator
@@ -172,17 +171,6 @@ def test_crash_stop_halts_node_and_counts_dropped_traffic():
 # ----------------------------------------------------------------------
 
 
-def test_faults_axis_default_and_context_manager():
-    assert get_default_faults() is None
-    plan = FaultPlan(seed=8, p_drop=0.2)
-    with using_faults(plan):
-        assert get_default_faults() is plan
-        with using_faults("none"):
-            assert get_default_faults() is None
-        assert get_default_faults() is plan
-    assert get_default_faults() is None
-
-
 def test_faults_axis_reaches_nested_simulations():
     topology = generators.grid(4, 4)
     clean = Simulator(topology, FloodAlgorithm(rounds=4), seed=1).run()
@@ -201,17 +189,6 @@ def test_faults_parameter_decorator():
     clean = run(4)
     faulted = run(4, faults=FaultPlan(seed=4, p_drop=0.4))
     assert _states(faulted) != _states(clean)
-    assert get_default_faults() is None
-
-
-def test_set_default_faults_restores_previous():
-    plan = FaultPlan(seed=6, p_drop=0.1)
-    previous = set_default_faults(plan)
-    try:
-        assert previous is None
-        assert get_default_faults() is plan
-    finally:
-        set_default_faults(previous)
     assert get_default_faults() is None
 
 

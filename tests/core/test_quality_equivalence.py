@@ -154,17 +154,6 @@ def test_zero_part_shortcut_identical():
     assert quality_fast.block_parameter(shortcut) == quality.block_parameter(shortcut)
 
 
-def test_kernel_selection_machinery():
-    assert quality.resolve_kernel(None) == quality.get_default_kernel()
-    with quality.using_kernel("reference"):
-        assert quality.get_default_kernel() == "reference"
-        with quality.using_kernel(None):
-            assert quality.get_default_kernel() == "reference"
-    assert quality.get_default_kernel() == quality.DEFAULT_KERNEL
-    with pytest.raises(ShortcutError):
-        quality.resolve_kernel("turbo")
-
-
 def test_default_kernel_used_by_measure(grid6, grid6_tree, grid6_voronoi):
     shortcut = full_ancestor_shortcut(grid6_tree, grid6_voronoi)
     with quality.using_kernel("reference"):

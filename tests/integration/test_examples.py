@@ -1,6 +1,5 @@
 """Smoke tests: every shipped example must run end to end."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -12,18 +11,13 @@ EXAMPLES = sorted((_REPO / "examples").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=[p.stem for p in EXAMPLES])
-def test_example_runs(script):
-    # The subprocess does not inherit pytest's `pythonpath` ini setting,
-    # so put the src layout on PYTHONPATH explicitly.
-    env = dict(os.environ)
-    src = str(_REPO / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+def test_example_runs(script, subprocess_env):
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=300,
-        env=env,
+        env=subprocess_env,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "examples must print their findings"

@@ -1,6 +1,7 @@
 """Tests for the service broker and its HTTP transport."""
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -97,6 +98,31 @@ def test_malformed_request_is_400(service, body):
     response = service.handle("mst", body)
     assert response.status == 400
     assert response.body["kind"] == "bad-request"
+
+
+def test_concurrent_counter_updates_are_not_lost(service):
+    threads, per_thread = 8, 250
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(
+                target=lambda: [
+                    service.handle("mst", {"spec": GRID, "mode": "warp"})
+                    for _ in range(per_thread)
+                ]
+            )
+            for _ in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(60)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    counts = service.stats.as_dict()
+    assert counts["requests"] == counts["bad_requests"] == threads * per_thread
 
 
 def test_unknown_family_is_unprocessable(service):

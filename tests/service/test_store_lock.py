@@ -9,7 +9,6 @@ store's own lock to prove the exclusion is effective across processes,
 not just threads.
 """
 
-import os
 import subprocess
 import sys
 import time
@@ -38,7 +37,6 @@ SPEC = InstanceSpec("grid", (5, 5), partition=("voronoi", 5, 1))
 HOLDER_SCRIPT = """
 import sys, time
 from pathlib import Path
-import repro.analysis.instances  # break the service <-> analysis import cycle
 from repro.service.store import PersistentStore
 
 root, locked, release = Path(sys.argv[1]), Path(sys.argv[2]), Path(sys.argv[3])
@@ -61,14 +59,14 @@ def _wait_for(path: Path, timeout: float = 30.0) -> None:
         time.sleep(0.01)
 
 
-def test_lock_excludes_second_process(tmp_path):
+def test_lock_excludes_second_process(tmp_path, subprocess_env):
     root = tmp_path / "store"
     store = PersistentStore(root)
     locked = tmp_path / "locked.marker"
     release = tmp_path / "release.marker"
     child = subprocess.Popen(
         [sys.executable, "-c", HOLDER_SCRIPT, str(root), str(locked), str(release)],
-        env=dict(os.environ),
+        env=subprocess_env,
     )
     try:
         _wait_for(locked)
@@ -93,7 +91,7 @@ def test_lock_excludes_second_process(tmp_path):
             child.wait()
 
 
-def test_two_process_put_and_sweep_storm(tmp_path):
+def test_two_process_put_and_sweep_storm(tmp_path, subprocess_env):
     """Concurrent writers + sweeping reopeners never lose a commit."""
     root = tmp_path / "store"
     writer = """
@@ -114,7 +112,7 @@ for batch in range(5):
     children = [
         subprocess.Popen(
             [sys.executable, "-c", writer, str(root), str(lane)],
-            env=dict(os.environ),
+            env=subprocess_env,
         )
         for lane in (0, 1)
     ]
