@@ -43,6 +43,8 @@ from repro.core.quality_fast import block_components
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.tree_routing import (
     SubtreeTask,
+    TaskKey,
+    _combine,
     broadcast as subtree_broadcast,
     convergecast as subtree_convergecast,
     make_task,
@@ -125,19 +127,22 @@ class PartwiseEngine:
         # "distributed representation" (Section 4.1).
         self.blocks: List[BlockComponent] = []
         self.block_of: Dict[int, BlockComponent] = {}  # Pi member -> its block
+        self._task_key_of: Dict[int, TaskKey] = {}  # Pi member -> its block's task
         for index in range(self.partition.size):
             for block in block_components(shortcut, index):
                 self.blocks.append(block)
                 for v in block.nodes & self.partition.members(index):
                     self.block_of[v] = block
+                    self._task_key_of[v] = (block.part, block.root)
         self.tasks: Dict[Tuple[int, int], SubtreeTask] = {
             (blk.part, blk.root): make_task(self.tree, blk.part, blk.nodes)
             for blk in self.blocks
         }
-        self.max_blocks = max(
-            (sum(1 for b in self.blocks if b.part == i) for i in range(self.partition.size)),
-            default=0,
-        )
+        # Direct-backend Lemma 2 schedule costs as (rounds, messages):
+        # the convergecast runs over every task, the broadcast over the
+        # tasks whose block carries a value (keyed in ``self.tasks`` order).
+        self._convergecast_cost: Optional[Tuple[int, int]] = None
+        self._broadcast_costs: Dict[Tuple[TaskKey, ...], Tuple[int, int]] = {}
 
         # Part-internal neighborhood (one round of neighbor discovery,
         # charged up front).  The scan depends only on (topology,
@@ -163,59 +168,83 @@ class PartwiseEngine:
         combined value over its block; ``None`` for nodes outside all
         parts.
         """
+        if self.backend == "direct":
+            return self._block_aggregate_direct(values, combine)
         task_values: Dict[Tuple[int, int], Dict[int, int]] = {}
         for v, block in self.block_of.items():
             value = values.get(v)
             if value is not None:
                 task_values.setdefault((block.part, block.root), {})[v] = value
         self._step += 1
-        if self.backend == "direct":
-            from repro.core.partwise_fast import convergecast_direct
-
-            combined, rounds, messages = convergecast_direct(
-                self.tree, self.tasks.values(), task_values, combine
-            )
-            self.ledger.charge(
-                f"partwise/convergecast#{self._step}", rounds, messages
-            )
-        else:
-            combined, _cc_result = subtree_convergecast(
-                self.topology,
-                self.tree,
-                self.tasks.values(),
-                task_values,
-                combine,
-                seed=self.seed + self._step,
-                ledger=self.ledger,
-                phase_name=f"partwise/convergecast#{self._step}",
-                engine=self.sim_engine,
-            )
+        combined, _cc_result = subtree_convergecast(
+            self.topology,
+            self.tree,
+            self.tasks.values(),
+            task_values,
+            combine,
+            seed=self.seed + self._step,
+            ledger=self.ledger,
+            phase_name=f"partwise/convergecast#{self._step}",
+            engine=self.sim_engine,
+        )
         root_values = {key: val for key, val in combined.items() if val is not None}
         self._step += 1
-        if self.backend == "direct":
-            from repro.core.partwise_fast import broadcast_direct
-
-            delivered, rounds, messages = broadcast_direct(
-                self.tree, [self.tasks[key] for key in root_values], root_values
-            )
-            self.ledger.charge(
-                f"partwise/broadcast#{self._step}", rounds, messages
-            )
-        else:
-            delivered, _bc_result = subtree_broadcast(
-                self.topology,
-                self.tree,
-                [self.tasks[key] for key in root_values],
-                root_values,
-                seed=self.seed + self._step,
-                ledger=self.ledger,
-                phase_name=f"partwise/broadcast#{self._step}",
-                engine=self.sim_engine,
-            )
+        delivered, _bc_result = subtree_broadcast(
+            self.topology,
+            self.tree,
+            [self.tasks[key] for key in root_values],
+            root_values,
+            seed=self.seed + self._step,
+            ledger=self.ledger,
+            phase_name=f"partwise/broadcast#{self._step}",
+            engine=self.sim_engine,
+        )
         out: Values = {}
         for v, block in self.block_of.items():
             out[v] = delivered.get((block.part, block.root), {}).get(v)
         return out
+
+    def _block_aggregate_direct(self, values: Values, combine: str) -> Values:
+        """Direct twin of :meth:`block_aggregate`.
+
+        Lemma 2 delivers every block's combine over its members to every
+        member, so the values are folded per block directly.  The
+        simulated schedule never looks at the values — the convergecast
+        depends only on the task set, the broadcast only on which tasks
+        carry a value — so each cost is replayed once per engine and
+        charged from the cache afterwards.
+        """
+        from repro.core import partwise_fast
+
+        folded: Dict[TaskKey, int] = {}
+        for v, key in self._task_key_of.items():
+            value = values.get(v)
+            if value is not None:
+                folded[key] = _combine(combine, folded.get(key), value)
+
+        if self._convergecast_cost is None:
+            tasks = self.tasks.values()
+            self._convergecast_cost = (
+                partwise_fast.convergecast_rounds(self.tree, tasks),
+                partwise_fast.subtree_messages(tasks),
+            )
+        self._step += 1
+        self.ledger.charge(
+            f"partwise/convergecast#{self._step}", *self._convergecast_cost
+        )
+
+        participating = tuple(key for key in self.tasks if key in folded)
+        cost = self._broadcast_costs.get(participating)
+        if cost is None:
+            tasks = [self.tasks[key] for key in participating]
+            cost = self._broadcast_costs[participating] = (
+                partwise_fast.broadcast_rounds(self.tree, tasks),
+                partwise_fast.subtree_messages(tasks),
+            )
+        self._step += 1
+        self.ledger.charge(f"partwise/broadcast#{self._step}", *cost)
+
+        return {v: folded.get(key) for v, key in self._task_key_of.items()}
 
     def exchange(self, payloads: Dict[int, Optional[tuple]]) -> Dict[int, List[Tuple[int, tuple]]]:
         """One round of exchange over part-internal edges."""

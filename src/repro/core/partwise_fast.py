@@ -31,11 +31,20 @@ matches the simulated run bit-for-bit, because the primitives replay
 the same deterministic dynamics without the engine machinery:
 
 ``subtree convergecast / broadcast`` (Lemma 2)
-    The pipelined schedule (one send per node per round, root-depth
-    priority) has no closed form, so — exactly like the
-    ``core-fast/flood`` kernel of :mod:`repro.core.construct_fast` —
-    the replay is a centralized per-round event loop over int heaps:
-    identical forwarding order, identical rounds, identical messages.
+    Lemma 2 delivers every block's combine over its members to every
+    member, so the values are folded per block directly.  The pipelined
+    schedule (one send per node per round, root-depth priority) never
+    looks at the values: the convergecast's rounds depend only on the
+    engine's task set, the broadcast's only on which tasks carry a
+    value, and both send ``Σ (|task.nodes| − 1)`` messages.  The rounds
+    have no closed form, so — exactly like the ``core-fast/flood``
+    kernel of :mod:`repro.core.construct_fast` — they are replayed as a
+    centralized per-round event loop over int heaps, with the
+    simulator's forwarding order; the engine replays the convergecast
+    once and the broadcast once per distinct participating task set,
+    and charges every later call from that cache.  The ledger stays
+    exact because the cached figures are the ones the simulated
+    program reports.
 
 ``part exchange`` / ``label exchange``
     One round; messages are the closed form (``Σ deg_P(v)`` over
@@ -78,7 +87,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.axes import Axis
 from repro.congest.topology import Topology
-from repro.core.tree_routing import SubtreeTask, TaskKey, _combine, _task_children
+from repro.core.tree_routing import SubtreeTask, TaskKey, _combine
 from repro.errors import ShortcutError
 from repro.graphs.csr import adjacency_csr, tree_arrays
 from repro.graphs.partitions import Partition
@@ -184,183 +193,95 @@ def part_neighbors_cached(
 
 
 # ----------------------------------------------------------------------
-# Lemma 2 routing replays (exact rounds and messages)
+# Lemma 2 schedule costs (exact rounds and messages)
 # ----------------------------------------------------------------------
 
 
-def convergecast_direct(
-    tree: SpanningTree,
-    tasks: Iterable[SubtreeTask],
-    values: Mapping[TaskKey, Mapping[int, int]],
-    combine: str = "min",
-) -> Tuple[Dict[TaskKey, Optional[int]], int, int]:
-    """Centralized replay of
-    :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm`.
+def subtree_messages(tasks: Iterable[SubtreeTask]) -> int:
+    """Messages of a Lemma 2 convergecast or broadcast over ``tasks``.
 
-    Returns ``(combined, rounds, messages)`` — the per-task values at
-    the task roots and the exact cost a simulated run reports: per
-    round every participating node forwards the highest-priority
-    (minimum root depth, then task id) completed task to its tree
-    parent and re-wakes while more remain.
+    Every non-root member sends its task's value up exactly once
+    (convergecast), resp. receives it from its parent exactly once
+    (broadcast), so both cost ``Σ (|task.nodes| − 1)``.
+    """
+    return sum(len(task.nodes) - 1 for task in tasks)
+
+
+def convergecast_rounds(tree: SpanningTree, tasks: Iterable[SubtreeTask]) -> int:
+    """Rounds of a simulated
+    :class:`~repro.core.tree_routing.SubtreeConvergecastAlgorithm` run.
+
+    The schedule never looks at the values being combined: per round
+    every node holding a completed task forwards the highest-priority
+    one (minimum root depth, then task id) to its tree parent, and a
+    task completes at a node once all its task children have reported.
     """
     parent = tree_arrays(tree).parent
-    task_list = list(tasks)
-    acc: Dict[Tuple[int, int, int], Optional[int]] = {}
+    # (node, tid, root) -> task children that have not reported yet
     pending: Dict[Tuple[int, int, int], int] = {}
-    root_depth: Dict[TaskKey, int] = {}
-    results: Dict[TaskKey, Optional[int]] = {}
+    # node -> heap of the completed tasks it still has to send up
     heaps: Dict[int, List[Tuple[int, int, int]]] = {}
-    next_arrivals: Dict[int, List[Tuple[int, int, Optional[int]]]] = {}
-    next_woken: set = set()
-    messages = 0
-
-    for task in task_list:
+    for task in tasks:
         tid, root = task.key
-        root_depth[task.key] = task.root_depth
-        task_values = values.get(task.key, {})
-        counts: Dict[int, int] = {}
         for v in task.nodes:
             if v != root:
-                counts[parent[v]] = counts.get(parent[v], 0) + 1
+                slot = (parent[v], tid, root)
+                pending[slot] = pending.get(slot, 0) + 1
         for v in task.nodes:
-            acc[(v, tid, root)] = task_values.get(v)
-            n_children = counts.get(v, 0)
-            pending[(v, tid, root)] = n_children
-            if n_children == 0:
-                if v == root:
-                    results[task.key] = acc[(v, tid, root)]
-                else:
-                    heapq.heappush(
-                        heaps.setdefault(v, []), (task.root_depth, tid, root)
-                    )
-    # Round 0: one pump per node with a ready task.
-    for v, heap in heaps.items():
-        if heap:
-            _depth, tid, root = heapq.heappop(heap)
-            next_arrivals.setdefault(parent[v], []).append(
-                (tid, root, acc[(v, tid, root)])
-            )
-            if heap:
-                next_woken.add(v)
+            if v != root and (v, tid, root) not in pending:
+                heapq.heappush(heaps.setdefault(v, []), task.priority)
 
     rounds = 0
-    r = 0
-    while next_arrivals or next_woken:
-        r += 1
-        arrivals, next_arrivals = next_arrivals, {}
-        woken, next_woken = next_woken, set()
-        for v, incoming in arrivals.items():
-            messages += len(incoming)
-            for tid, root, value in incoming:
-                slot = (v, tid, root)
-                acc[slot] = _combine(combine, acc[slot], value)
-                pending[slot] -= 1
-                if pending[slot] == 0:
-                    if v == root:
-                        results[(tid, root)] = acc[slot]
-                    else:
-                        heapq.heappush(
-                            heaps.setdefault(v, []),
-                            (root_depth[(tid, root)], tid, root),
-                        )
-        for v in set(arrivals) | woken:
-            heap = heaps.get(v)
-            if heap:
-                _depth, tid, root = heapq.heappop(heap)
-                next_arrivals.setdefault(parent[v], []).append(
-                    (tid, root, acc[(v, tid, root)])
-                )
-                if heap:
-                    next_woken.add(v)
-        rounds = r
-
-    combined = {task.key: results[task.key] for task in task_list}
-    return combined, rounds, messages
+    while heaps:
+        sent = []
+        for v, heap in list(heaps.items()):
+            sent.append((parent[v], heapq.heappop(heap)))
+            if not heap:
+                del heaps[v]
+        rounds += 1
+        for v, priority in sent:
+            _depth, tid, root = priority
+            slot = (v, tid, root)
+            pending[slot] -= 1
+            if pending[slot] == 0 and v != root:
+                heapq.heappush(heaps.setdefault(v, []), priority)
+    return rounds
 
 
-def broadcast_direct(
-    tree: SpanningTree,
-    tasks: Iterable[SubtreeTask],
-    root_values: Mapping[TaskKey, int],
-) -> Tuple[Dict[TaskKey, Dict[int, int]], int, int]:
-    """Centralized replay of
-    :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm`.
+def broadcast_rounds(tree: SpanningTree, tasks: Iterable[SubtreeTask]) -> int:
+    """Rounds of a simulated
+    :class:`~repro.core.tree_routing.SubtreeBroadcastAlgorithm` run in
+    which every task of ``tasks`` carries a value.
 
-    Returns ``(delivered, rounds, messages)``: per round every node
-    forwards, per child edge, the highest-priority pending task value.
+    Per round every node forwards, on each child edge, the
+    highest-priority task value still queued for that child.
     """
-    task_list = list(tasks)
-    received: Dict[Tuple[int, int, int], int] = {}
-    children_of: Dict[Tuple[int, int, int], Tuple[int, ...]] = {}
-    # node -> child -> heap of (root_depth, tid, root, value)
-    queues: Dict[int, Dict[int, List[Tuple[int, int, int, int]]]] = {}
-    next_arrivals: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    next_woken: set = set()
-    messages = 0
-
-    def enqueue(v: int, tid: int, root: int, depth: int, value: int) -> None:
-        for child in children_of[(v, tid, root)]:
-            heapq.heappush(
-                queues.setdefault(v, {}).setdefault(child, []),
-                (depth, tid, root, value),
-            )
-
-    def pump(v: int) -> None:
-        node_queues = queues.get(v)
-        if not node_queues:
-            return
-        more = False
-        for child, queue in node_queues.items():
-            if queue:
-                depth, tid, root, value = heapq.heappop(queue)
-                next_arrivals.setdefault(child, []).append(
-                    (depth, tid, root, value)
-                )
-                if queue:
-                    more = True
-        if more:
-            next_woken.add(v)
-
-    depth_of: Dict[TaskKey, int] = {}
-    for task in task_list:
+    parent = tree_arrays(tree).parent
+    # (node, tid, root) -> the node's task children
+    children_of: Dict[Tuple[int, int, int], List[int]] = {}
+    # child -> heap of the tasks its parent still has to forward to it
+    queues: Dict[int, List[Tuple[int, int, int]]] = {}
+    for task in tasks:
         tid, root = task.key
-        depth_of[task.key] = task.root_depth
-        children = _task_children(tree, task)
         for v in task.nodes:
-            children_of[(v, tid, root)] = children[v]
-        value = root_values.get(task.key)
-        if value is not None:
-            received[(root, tid, root)] = value
-            enqueue(root, tid, root, task.root_depth, value)
-    for v in list(queues):
-        pump(v)
+            if v != root:
+                children_of.setdefault((parent[v], tid, root), []).append(v)
+        for child in children_of.get((root, tid, root), ()):
+            heapq.heappush(queues.setdefault(child, []), task.priority)
 
     rounds = 0
-    r = 0
-    while next_arrivals or next_woken:
-        r += 1
-        arrivals, next_arrivals = next_arrivals, {}
-        woken, next_woken = next_woken, set()
-        for v, incoming in arrivals.items():
-            messages += len(incoming)
-            for depth, tid, root, value in incoming:
-                slot = (v, tid, root)
-                if slot not in received:
-                    received[slot] = value
-                    enqueue(v, tid, root, depth, value)
-        for v in set(arrivals) | woken:
-            pump(v)
-        rounds = r
-
-    delivered = {
-        task.key: {
-            v: received[(v,) + task.key]
-            for v in task.nodes
-            if (v,) + task.key in received
-        }
-        for task in task_list
-    }
-    return delivered, rounds, messages
+    while queues:
+        delivered = []
+        for child, queue in list(queues.items()):
+            delivered.append((child, heapq.heappop(queue)))
+            if not queue:
+                del queues[child]
+        rounds += 1
+        for v, priority in delivered:
+            _depth, tid, root = priority
+            for child in children_of.get((v, tid, root), ()):
+                heapq.heappush(queues.setdefault(child, []), priority)
+    return rounds
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,8 @@ experiments (E9/E10/E13/E17) — exactly as the engine-equivalence and
 construct-equivalence suites license their layers.
 """
 
+import random
+
 import pytest
 
 from repro.apps.aggregation import (
@@ -253,6 +255,57 @@ def test_aggregation_primitives_direct_backend_identical(name):
             "edges": min_outgoing_edges(topology, engine, b_bound, seed=5),
             "count": engine.count_blocks(b_bound),
         }
+        ledgers[backend] = ledger
+    assert outputs["direct"] == outputs["simulate"]
+    _assert_ledgers_identical(ledgers["simulate"], ledgers["direct"])
+
+
+def _sparse_block_calls(engine, seed):
+    """A ``block_aggregate`` call sequence covering every broadcast-cache
+    key shape: dense values, ``None`` on a seeded half of the blocks, an
+    all-``None`` call, and single-member values, under min/max/sum."""
+    blocks = {}
+    for v, block in sorted(engine.block_of.items()):
+        blocks.setdefault((block.part, block.root), []).append(v)
+    rng = random.Random(seed)
+    silent = set(rng.sample(sorted(blocks), len(blocks) // 2))
+    dense = {v: (v * 37) % 53 for v in engine.block_of}
+    half = {
+        v: None if key in silent else dense[v]
+        for key, members in blocks.items()
+        for v in members
+    }
+    one_per_block = {members[-1]: 7 + i for i, members in enumerate(blocks.values())}
+    lone = rng.choice(sorted(engine.block_of))
+    calls = []
+    for combine in ("min", "max", "sum"):
+        calls += [(dense, combine), (half, combine), (one_per_block, combine)]
+    calls += [
+        ({v: None for v in engine.block_of}, "min"),
+        ({}, "sum"),
+        ({lone: 5}, "max"),
+        (half, "min"),
+    ]
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_block_aggregate_sparse_values_direct_backend_identical(name):
+    """One reused engine per backend through sparse, empty, and
+    single-member ``block_aggregate`` calls: every broadcast-cache key
+    shape of the direct backend meets the simulated oracle."""
+    topology, _partition, shortcut, _b_bound = _shortcut_setup(name)
+    outputs = {}
+    ledgers = {}
+    for backend in BACKENDS:
+        ledger = RoundLedger()
+        engine = PartwiseEngine(
+            topology, shortcut, seed=3, ledger=ledger, backend=backend
+        )
+        outputs[backend] = [
+            engine.block_aggregate(values, combine)
+            for values, combine in _sparse_block_calls(engine, seed=11)
+        ]
         ledgers[backend] = ledger
     assert outputs["direct"] == outputs["simulate"]
     _assert_ledgers_identical(ledgers["simulate"], ledgers["direct"])
