@@ -564,31 +564,31 @@ def _http_storm(
     """Replay the suite over real HTTP with a tiny queue and retries."""
     store = PersistentStore(store_root, memory_entries=2, hooks=schedule.hooks())
     with serve(store, workers=2, queue_limit=2) as handle:
-        client = ServiceClient(
+        with ServiceClient(
             handle.base_url,
             timeout_s=30.0,
             max_retries=5,
             backoff_base_s=0.01,
             backoff_cap_s=0.1,
             jitter_seed=mix(seed, 1),
-        )
-        for name, spec in pairs:
-            for op in ops:
-                schedule.corrupt_entry(store)
-                schedule.arm_io_errors()
-                try:
-                    result = client.request(op, spec)
-                except ServiceError as error:
-                    if error.kind not in CLEAN_ERROR_KINDS | {"transport"}:
-                        raise ChaosViolation(
-                            f"http {op}/{name}: unclean client error {error.kind}"
-                        )
-                    report.clean_errors += 1
-                else:
-                    if result.result != expected[(name, op)]:
-                        raise ChaosViolation(
-                            f"http {op}/{name}: served a WRONG result"
-                        )
-                    report.correct += 1
-                report.http_requests += 1
+        ) as client:
+            for name, spec in pairs:
+                for op in ops:
+                    schedule.corrupt_entry(store)
+                    schedule.arm_io_errors()
+                    try:
+                        result = client.request(op, spec)
+                    except ServiceError as error:
+                        if error.kind not in CLEAN_ERROR_KINDS | {"transport"}:
+                            raise ChaosViolation(
+                                f"http {op}/{name}: unclean client error {error.kind}"
+                            )
+                        report.clean_errors += 1
+                    else:
+                        if result.result != expected[(name, op)]:
+                            raise ChaosViolation(
+                                f"http {op}/{name}: served a WRONG result"
+                            )
+                        report.correct += 1
+                    report.http_requests += 1
         report.http_retries = client.retries_used

@@ -1,8 +1,14 @@
 """Client SDK for the shortcut service.
 
-A thin, dependency-free (urllib) client with the retry discipline a
-production caller needs:
+A thin, dependency-free (``http.client``) client with the retry
+discipline a production caller needs:
 
+* **keep-alive connections** — each calling thread keeps one
+  HTTP/1.1 connection to the service (with ``TCP_NODELAY`` set), so a
+  warm request costs one round trip instead of a TCP handshake plus a
+  fresh server thread.  A connection the server closed while it sat
+  idle is reopened once, transparently; :meth:`ServiceClient.close`
+  (or leaving a ``with ServiceClient(...)`` block) closes them all;
 * **timeouts** on every HTTP call (``timeout_s``, default 30);
 * **capped exponential backoff with jitter** on idempotent retries:
   attempt ``i`` sleeps ``min(cap, base * 2**i) * uniform(0.5, 1.0)``;
@@ -10,7 +16,8 @@ production caller needs:
   the computed delay — both RFC 7231 forms, delta-seconds and
   HTTP-date, are honoured, and an unparseable header falls back to
   the computed backoff;
-* retries fire only on *transient* outcomes — connection errors,
+* retries fire only on *transient* outcomes — transport errors
+  (connection refused or reset, timeouts, malformed HTTP),
   ``503`` (shed) and ``504`` (deadline expired; the server keeps
   computing, so the retry usually lands warm).  ``4xx`` responses are
   permanent and surface immediately.  Every service operation is a
@@ -26,13 +33,15 @@ from __future__ import annotations
 
 import datetime
 import email.utils
+import http.client
 import json
 import random
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.instances import InstanceSpec
 from repro.errors import ReproError
@@ -43,6 +52,14 @@ DEFAULT_BACKOFF_BASE_S = 0.05
 DEFAULT_BACKOFF_CAP_S = 2.0
 
 RETRYABLE_STATUS = (503, 504)
+
+# Everything a failed exchange can raise; all are transport errors
+# (``urllib.error.URLError`` and ``TimeoutError`` are ``OSError``s).
+TRANSPORT_ERRORS = (OSError, http.client.HTTPException)
+
+# What a reused keep-alive connection raises when the server closed it
+# while it sat idle; the exchange is retried once on a fresh one.
+STALE_ERRORS = (ConnectionError, http.client.HTTPException)
 
 
 class ServiceError(ReproError):
@@ -84,8 +101,43 @@ class ClientResult:
     attempts: int
 
 
+class _Connection(http.client.HTTPConnection):
+    """A keep-alive connection that sends each request as one segment.
+
+    ``http.client`` writes a request's headers and its body with two
+    ``send`` calls.  With Nagle's algorithm on, the body would wait for
+    the server's delayed ACK; with it off, the server wakes on the
+    headers and then blocks again for the body.  :meth:`request` holds
+    the writes back and sends them together, and Nagle stays off.
+    """
+
+    _held: Optional[list] = None
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def request(self, method, url, body=None, headers={}, **kwargs) -> None:
+        self._held = []
+        try:
+            super().request(method, url, body=body, headers=headers, **kwargs)
+            data = b"".join(self._held)
+        finally:
+            self._held = None
+        super().send(data)
+
+    def send(self, data) -> None:
+        if self._held is None:
+            super().send(data)
+        else:
+            self._held.append(bytes(data))
+
+
 class ServiceClient:
-    """HTTP client with timeouts and capped, jittered backoff."""
+    """HTTP client with keep-alive, timeouts, and capped, jittered backoff.
+
+    Safe to share between threads: each thread gets its own connection.
+    """
 
     def __init__(
         self,
@@ -99,6 +151,11 @@ class ServiceClient:
         sleep=time.sleep,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(f"expected an http://host[:port] URL, got {base_url!r}")
+        self._address = (parts.hostname, parts.port)
+        self._prefix = parts.path
         self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
@@ -106,31 +163,78 @@ class ServiceClient:
         self._rng = random.Random(jitter_seed)
         self._sleep = sleep
         self.retries_used = 0
+        # One keep-alive connection per calling thread, by thread id.
+        self._connections: Dict[int, _Connection] = {}
+        self._connections_lock = threading.Lock()
 
     # -- transport ------------------------------------------------------
+
+    def _connection(self) -> Tuple[_Connection, bool]:
+        """This thread's connection, and whether it was just opened."""
+        ident = threading.get_ident()
+        with self._connections_lock:
+            connection = self._connections.get(ident)
+            if connection is not None:
+                return connection, False
+            host, port = self._address
+            connection = _Connection(host, port, timeout=self.timeout_s)
+            self._connections[ident] = connection
+            return connection, True
+
+    def _drop(self, connection: _Connection) -> None:
+        """Forget and close this thread's connection."""
+        ident = threading.get_ident()
+        with self._connections_lock:
+            if self._connections.get(ident) is connection:
+                del self._connections[ident]
+        connection.close()
 
     def _http(
         self, method: str, path: str, body: Optional[Dict] = None
     ) -> tuple[int, Dict, Dict[str, str]]:
-        """One HTTP exchange -> (status, json body, headers)."""
+        """One HTTP exchange -> (status, json body, headers).
+
+        Raises one of :data:`TRANSPORT_ERRORS` when no response arrives.
+        """
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"} if data else {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                return resp.status, json.loads(resp.read().decode("utf-8")), dict(
-                    resp.headers
-                )
-        except urllib.error.HTTPError as error:
+        headers = {"Content-Type": "application/json"} if data else {}
+        while True:
+            connection, fresh = self._connection()
             try:
-                payload = json.loads(error.read().decode("utf-8"))
+                connection.request(
+                    method, f"{self._prefix}{path}", body=data, headers=headers
+                )
+                response = connection.getresponse()
+                raw = response.read()
+            except TRANSPORT_ERRORS as error:
+                self._drop(connection)
+                if fresh or not isinstance(error, STALE_ERRORS):
+                    raise
+                continue  # the server closed an idle connection: reopen once
+            try:
+                payload = json.loads(raw.decode("utf-8"))
             except (ValueError, UnicodeDecodeError):
-                payload = {"error": str(error), "kind": "transport"}
-            return error.code, payload, dict(error.headers or {})
+                if response.status == 200:
+                    raise http.client.HTTPException("response body is not JSON")
+                payload = {"error": f"HTTP {response.status}", "kind": "transport"}
+            return response.status, payload, dict(response.headers)
+
+    def close(self) -> None:
+        """Close every keep-alive connection; idempotent.
+
+        The client stays usable: a later request opens a new connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def backoff_delay(self, attempt: int, retry_after: Optional[str] = None) -> float:
         """The sleep before retry ``attempt`` (0-based).
@@ -179,7 +283,7 @@ class ServiceClient:
         for attempt in range(self.max_retries + 1):
             try:
                 status, payload, headers = self._http("POST", f"/v1/{op}", body)
-            except (urllib.error.URLError, OSError, TimeoutError) as error:
+            except TRANSPORT_ERRORS as error:
                 last_error = ServiceError(
                     f"transport error calling {op}: {error}", kind="transport"
                 )
@@ -207,7 +311,7 @@ class ServiceClient:
     def health(self) -> bool:
         try:
             status, payload, _headers = self._http("GET", "/healthz")
-        except (urllib.error.URLError, OSError, TimeoutError):
+        except TRANSPORT_ERRORS:
             return False
         return status == 200 and bool(payload.get("ok"))
 

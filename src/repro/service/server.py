@@ -37,11 +37,37 @@ Request lifecycle hardening
   store offline, counting ``store_failures``.
 * **Batched cold misses** — with ``batch_window_s > 0``, cold misses
   for the same batchable operation and instance family that arrive
-  within the pending window are grouped and their quality reports
-  computed through the vectorized batch layer
-  (:func:`repro.core.batch.measure_batch`); every grouped response is
-  ==-identical to the per-instance path, and the ``batched`` counter
-  in ``/v1/stats`` tracks how many requests were served this way.
+  within the pending window are grouped; their constructions share
+  one vector-ladder call and their quality reports one
+  :func:`repro.core.batch.measure_batch` call.  Every grouped response
+  is ==-identical to the per-instance path, and the ``batched``
+  counter in ``/v1/stats`` tracks how many requests were served this
+  way.
+
+One construction path
+---------------------
+
+A ``shortcut``/``quality`` request (a window of one) and a batch
+window both build their shortcuts through ``_build_shortcuts``.  An
+item climbs the vectorized Appendix A doubling ladder
+(:func:`repro.core.batch.find_shortcut_doubling_batch` with
+``batch="vector"``) when it asks for ``mode="direct"``, numpy is
+installed, and its topology has at least :data:`VECTOR_MIN_N` nodes;
+every other item runs :func:`repro.core.doubling.find_shortcut_doubling`
+per instance.  The ladder is bit-identical to the per-instance direct
+search (c, b, trials, ledger), so the route changes no payload and no
+content key — only the wall time.  If the ladder call raises, its
+items are retried per instance, so each error keeps its own 422/500.
+
+Keep-alive transport
+--------------------
+
+Connections are HTTP/1.1 keep-alive, one handler thread each.  The
+handler buffers a response and flushes it once, so headers and body
+leave as one segment, and it disables Nagle's algorithm: written as two
+segments with Nagle on, the body of a keep-alive response waited about
+40 ms for the client's delayed ACK.  :meth:`ServiceHandle.close` ends
+every open connection, so no handler thread outlives the handle.
 
 Computation is deterministic given the request (seeded constructions,
 direct kernels), which is what makes results content-addressable and
@@ -52,7 +78,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor, TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -62,7 +90,7 @@ from repro.analysis.instances import Instance, InstanceSpec, hydrate
 from repro.apps.connectivity import connected_components
 from repro.apps.mincut import approximate_min_cut
 from repro.apps.mst import minimum_spanning_tree
-from repro.core import quality
+from repro.core import batch, quality
 from repro.core.batch import measure_batch
 from repro.core.doubling import find_shortcut_doubling
 from repro.errors import ReproError
@@ -98,16 +126,84 @@ def _require_weights(instance: Instance) -> None:
         raise BadRequest("this operation needs a weighted spec")
 
 
+# Smallest topology (node count) whose direct-mode construction runs
+# through the vector doubling ladder.  The ladder is ==-identical to
+# the per-instance direct loop; below this size its packing overhead
+# outweighs the vectorized rungs.  Measured direct/vector wall-time
+# ratio, batch of one, n // 16 Voronoi parts, best of 3 per seed and
+# the median over seeds 0-2 (Python 3.11, numpy 2.4, 2-core x86_64):
+#
+#   n = 256    grid 16x16 0.80x   torus 16x16 1.09x   hub 1.06x
+#   n = 512    grid 16x32 1.07x   torus 24x24 1.43x   hub 1.98x
+#   n = 1,024  grid 1.73x         torus 2.19x         hub 3.17x
+#   n = 4,096  grid 2.70x         torus 3.26x         hub 3.97x
+#
+# (torus 24x24 has n = 576; n = 4,096 is the perfbench construct-cold
+# size.)
+VECTOR_MIN_N = 512
+
+
+def _build_shortcuts(
+    instances: List[Instance], params_list: List[Dict]
+) -> List[object]:
+    """One doubling construction per item, for a request or a window.
+
+    Returns, per item, its ``DoublingResult`` or the exception its
+    construction raised.  Items with ``mode="direct"``, a partition and
+    at least :data:`VECTOR_MIN_N` nodes climb the ladder together in
+    one :func:`repro.core.batch.find_shortcut_doubling_batch` call when
+    numpy is installed (each with its own seed, so grouping changes no
+    answer); every other item runs :func:`find_shortcut_doubling` on
+    its own.  The ladder stops at the first failing item, so if it
+    raises, its items fall back to the per-instance loop and every
+    error stays with its own item.
+    """
+    outcomes: List[object] = [None] * len(instances)
+    vector = numpy_available()
+    laddered = [
+        index
+        for index, (instance, params) in enumerate(zip(instances, params_list))
+        if vector
+        and params["mode"] == "direct"
+        and instance.partition is not None
+        and instance.topology.n >= VECTOR_MIN_N
+    ]
+    if laddered:
+        try:
+            results = batch.find_shortcut_doubling_batch(
+                [instances[i].topology for i in laddered],
+                [instances[i].tree for i in laddered],
+                [instances[i].partition for i in laddered],
+                seeds=[params_list[i]["seed"] for i in laddered],
+                mode="direct",
+                batch="vector",
+            )
+        except Exception:  # noqa: BLE001 — retried per instance below
+            results = [None] * len(laddered)
+        for index, result in zip(laddered, results):
+            outcomes[index] = result
+    for index, (instance, params) in enumerate(zip(instances, params_list)):
+        if outcomes[index] is not None:
+            continue
+        try:
+            _require_partition(instance)
+            outcomes[index] = find_shortcut_doubling(
+                instance.topology,
+                instance.tree,
+                instance.partition,
+                seed=params["seed"],
+                mode=params["mode"],
+            )
+        except Exception as error:  # noqa: BLE001 — reported per item
+            outcomes[index] = error
+    return outcomes
+
+
 def _construct(instance: Instance, params: Dict):
     """One doubling construction + quality report for shortcut/quality."""
-    _require_partition(instance)
-    outcome = find_shortcut_doubling(
-        instance.topology,
-        instance.tree,
-        instance.partition,
-        seed=params["seed"],
-        mode=params["mode"],
-    )
+    (outcome,) = _build_shortcuts([instance], [params])
+    if isinstance(outcome, Exception):
+        raise outcome
     report = quality.measure(
         outcome.result.shortcut,
         instance.topology,
@@ -212,9 +308,9 @@ OPERATIONS: Dict[str, Callable[[Instance, Dict], Dict]] = {
     "connectivity": op_connectivity,
 }
 
-# Ops whose compute splits into a per-instance construction plus a
-# quality report the batch layer can vectorize across a pending-window
-# group (the construction's randomness is per-instance either way, so
+# Ops whose compute splits into a construction plus a quality report,
+# both of which the batch layer can vectorize across a pending-window
+# group (each construction is seeded per instance either way, so
 # grouping cannot change any answer).
 BATCHED_PAYLOADS: Dict[str, Callable] = {
     "shortcut": _shortcut_payload,
@@ -371,10 +467,13 @@ class ShortcutService:
     With ``batch_window_s > 0`` cold misses on the batchable ops
     (:data:`BATCHED_PAYLOADS`) are held for up to that window and
     grouped by ``(op, family, with_dilation)``; a group flushes early
-    when it reaches ``batch_limit`` members.  The group's quality
-    reports are computed in one :func:`repro.core.batch.measure_batch`
-    call (the vector strategy when numpy is installed, the loop
-    otherwise — both ==-identical to per-instance compute).
+    when it reaches ``batch_limit`` members.  The group's
+    constructions go through the same routing as a single request
+    (one vector-ladder call for the items above :data:`VECTOR_MIN_N`),
+    and its quality reports are computed in one
+    :func:`repro.core.batch.measure_batch` call (the vector strategy
+    when numpy is installed, the loop otherwise — both ==-identical to
+    per-instance compute).
     """
 
     def __init__(
@@ -600,27 +699,31 @@ class ShortcutService:
     def _run_group(self, group: _BatchGroup) -> None:
         """Compute one pending-window group.
 
-        Constructions stay per-instance (their seeded randomness is
-        request-scoped); the quality reports of the whole group run
-        through one batch-layer call.  A failure stays confined to its
-        own item — on any batch-call error the group falls back to
-        per-instance measurement so errors attribute exactly as on the
-        unbatched path.
+        The constructions go through :func:`_build_shortcuts` — one
+        vector-ladder call for every item above :data:`VECTOR_MIN_N`,
+        the per-instance search for the rest — and the quality reports
+        of the whole group run through one batch-layer call.  A failure
+        stays confined to its own item: a failed hydrate or
+        construction answers only its request, and on any batch-call
+        error the group falls back to per-instance measurement so
+        errors attribute exactly as on the unbatched path.
         """
-        built = []
+        hydrated = []
         for key, spec, params, future in group.items:
             try:
                 instance = hydrate(spec)
-                _require_partition(instance)
-                outcome = find_shortcut_doubling(
-                    instance.topology,
-                    instance.tree,
-                    instance.partition,
-                    seed=params["seed"],
-                    mode=params["mode"],
-                )
             except Exception as error:  # noqa: BLE001
                 self._finish(key, future, self._failure(error))
+            else:
+                hydrated.append((key, future, instance, params))
+        outcomes = _build_shortcuts(
+            [instance for _, _, instance, _ in hydrated],
+            [params for _, _, _, params in hydrated],
+        )
+        built = []
+        for (key, future, instance, _params), outcome in zip(hydrated, outcomes):
+            if isinstance(outcome, Exception):
+                self._finish(key, future, self._failure(outcome))
             else:
                 built.append((key, future, instance, outcome))
         if not built:
@@ -694,10 +797,21 @@ class ShortcutService:
 class _Handler(BaseHTTPRequestHandler):
     service: ShortcutService  # set by serve()
     protocol_version = "HTTP/1.1"
+    # A response leaves as one segment: writes are buffered and
+    # ``handle_one_request`` flushes once per request.  Nagle is off so
+    # no write waits for the client's delayed ACK (~40 ms).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # Silence per-request stderr logging (the service has /v1/stats).
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass
+
+    def handle_expect_100(self) -> bool:
+        # The interim "100 Continue" must leave before the body arrives.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _send_json(
         self, status: int, body: Dict, retry_after_s: Optional[float] = None
@@ -742,12 +856,63 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(response.status, response.body, response.retry_after_s)
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """One daemon thread per connection, tracked so close() can end them.
+
+    A keep-alive connection holds its handler thread between requests;
+    :meth:`close_connections` shuts the read side of every open
+    connection, so an idle handler sees end-of-stream and exits while a
+    handler still answering a request finishes writing its response.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self._serve_connection,
+            args=(request, client_address),
+            name="repro-svc-conn",
+            daemon=True,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def _serve_connection(self, request, client_address) -> None:
+        try:
+            self.process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections.pop(request, None)
+
+    def close_connections(self, timeout_s: float) -> None:
+        with self._connections_lock:
+            open_connections = list(self._connections.items())
+        for connection, _thread in open_connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+        deadline = time.monotonic() + timeout_s
+        for _connection, thread in open_connections:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+
+
 @dataclass
 class ServiceHandle:
-    """A running HTTP service; close() is idempotent."""
+    """A running HTTP service; close() is idempotent.
+
+    Closing stops the listener, ends every keep-alive connection (no
+    handler thread outlives the handle), and drains the compute pool.
+    """
 
     service: ShortcutService
-    server: ThreadingHTTPServer
+    server: _HTTPServer
     thread: threading.Thread
     host: str
     port: int
@@ -760,6 +925,7 @@ class ServiceHandle:
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=10)
+        self.server.close_connections(timeout_s=10)
         self.service.close()
 
     def __enter__(self) -> "ServiceHandle":
@@ -797,8 +963,7 @@ def serve(
         batch_limit=batch_limit,
     )
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
+    server = _HTTPServer((host, port), handler)
     thread = threading.Thread(
         target=server.serve_forever, name="repro-svc-http", daemon=True
     )

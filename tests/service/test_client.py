@@ -1,12 +1,14 @@
-"""Tests for the client SDK: backoff schedule, retry discipline."""
+"""Tests for the client SDK: backoff schedule, retry discipline, keep-alive."""
 
+import socket
+import threading
 import urllib.error
 
 import pytest
 
 from repro.analysis.instances import InstanceSpec
 from repro.service.client import ServiceClient, ServiceError, spec_to_json
-from repro.service.server import parse_spec
+from repro.service.server import parse_spec, serve
 
 SPEC = InstanceSpec(
     "grid", (5, 5), weights=("unique", 3), partition=("voronoi", 5, 1)
@@ -194,3 +196,128 @@ def test_http_date_retry_after_through_request_path():
     client.request("mst", SPEC)
     assert len(sleeps) == 1
     assert 55 <= sleeps[0] <= 60
+
+
+# ----------------------------------------------------------------------
+# Keep-alive transport, against a real loopback server
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def live_server():
+    """A running service whose accepted sockets are recorded."""
+    handle = serve(None, workers=2)
+    accepted = []
+    process_request = handle.server.process_request
+
+    def recording(request, client_address):
+        accepted.append(request)
+        process_request(request, client_address)
+
+    handle.server.process_request = recording
+    try:
+        yield handle, accepted
+    finally:
+        handle.close()
+
+
+def test_sequential_requests_share_one_connection(live_server):
+    handle, accepted = live_server
+    with ServiceClient(handle.base_url) as client:
+        results = [client.request("connectivity", SPEC).result for _ in range(6)]
+        assert client.health()
+    assert all(result == results[0] for result in results)
+    assert len(accepted) == 1
+
+
+def test_reconnects_after_the_server_closes_the_connection(live_server):
+    handle, accepted = live_server
+    with ServiceClient(handle.base_url, max_retries=0) as client:
+        first = client.request("mst", SPEC)
+        handle.server.close_connections(timeout_s=10)
+        second = client.request("mst", SPEC)
+        assert client.retries_used == 0
+    assert second.result == first.result
+    assert second.warm is False  # no store: computed again
+    assert len(accepted) == 2
+
+
+def test_threads_sharing_a_client_get_the_serial_results(live_server):
+    handle, _accepted = live_server
+    specs = [
+        InstanceSpec("grid", (4, 4 + i % 3), weights=("unique", i)) for i in range(8)
+    ]
+    with ServiceClient(handle.base_url) as client:
+        serial = [client.request("mst", spec).result for spec in specs]
+        shared = [None] * len(specs)
+
+        def fire(index):
+            for _ in range(3):
+                shared[index] = client.request("mst", specs[index]).result
+
+        threads = [threading.Thread(target=fire, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    assert shared == serial
+
+
+def test_close_is_idempotent_and_the_client_stays_usable(live_server):
+    handle, accepted = live_server
+    client = ServiceClient(handle.base_url)
+    client.close()  # nothing open yet
+    assert client.health()
+    client.close()
+    client.close()
+    assert client.health()  # reopens
+    client.close()
+    assert len(accepted) == 2
+
+
+def test_accepted_socket_disables_nagle(live_server):
+    handle, accepted = live_server
+    with ServiceClient(handle.base_url) as client:
+        assert client.health()
+        (server_side,) = accepted
+        assert server_side.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        (connection,) = client._connections.values()
+        assert connection.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_closing_the_handle_ends_idle_connection_threads():
+    with serve(None, workers=1) as handle:
+        client = ServiceClient(handle.base_url, max_retries=0)
+        assert client.health()
+        threads = list(handle.server._connections.values())
+        assert len(threads) == 1 and threads[0].is_alive()
+    assert not threads[0].is_alive()
+    # The server is gone: the stale connection is retried once, then
+    # the refused reconnect surfaces as a transport error.
+    with pytest.raises(ServiceError) as info:
+        client.request("mst", SPEC)
+    assert info.value.kind == "transport"
+    client.close()
+
+
+def test_a_request_leaves_in_one_write():
+    from repro.service.client import _Connection
+
+    class RecordingSocket:
+        def __init__(self):
+            self.writes = []
+
+        def sendall(self, data):
+            self.writes.append(bytes(data))
+
+    connection = _Connection("service.invalid", 80)
+    connection.sock = RecordingSocket()
+    connection.request(
+        "POST", "/v1/mst", body=b'{"spec": {}}',
+        headers={"Content-Type": "application/json"},
+    )
+    (write,) = connection.sock.writes
+    assert write.startswith(b"POST /v1/mst HTTP/1.1\r\n")
+    assert write.endswith(b'\r\n\r\n{"spec": {}}')
+    connection.sock = None

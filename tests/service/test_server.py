@@ -563,3 +563,24 @@ def test_recovery_counters_survive_store_restart(tmp_path):
         assert payload["recoveries"]["quarantined"] == 1
     finally:
         service.close()
+
+
+def test_http_answers_expect_100_continue_before_the_body(tmp_path):
+    import socket
+
+    with serve(None, workers=1) as handle:
+        body = json.dumps(request_body()).encode()
+        with socket.create_connection((handle.host, handle.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/connectivity HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+            )
+            # The interim response arrives while the body is held back.
+            interim = sock.recv(1024)
+            assert interim.startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            reply = b""
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(4096)
+            assert reply.startswith(b"HTTP/1.1 200")
