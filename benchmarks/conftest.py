@@ -5,192 +5,43 @@ Each benchmark wraps one experiment runner from
 are internally repeated/averaged where that matters), prints the
 regenerated paper-style table, and asserts the claim it reproduces.
 
-Scale with ``REPRO_SCALE=paper pytest benchmarks/ --benchmark-only``
+Scale with ``REPRO_SCALE=paper pytest benchmarks/bench_*.py --benchmark-only``
 for the larger instances recorded in EXPERIMENTS.md.
 
-BENCH_simulator.json schema
+repro.bench_twins.v1 schema
 ---------------------------
 
-``python benchmarks/bench_e14_engine.py --out BENCH_simulator.json``
-writes the simulator-engine throughput baseline (schema id
-``repro.bench_simulator.v1``), a JSON object with:
+``python -m repro.bench <row|all> --out PATH`` writes the
+twin-throughput record of E14–E18, E21 and E22 (one row per fast twin
+timed against its reference twin; the rows live in
+:data:`repro.bench.ROWS`).  A JSON object with:
 
-* ``schema`` — the literal string ``"repro.bench_simulator.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E14 instance sizes).
-* ``engines`` — sorted list of engine names measured.
-* ``python`` / ``machine`` — interpreter version and architecture the
-  numbers were taken on.
-* ``families`` — list ordered by message volume (last = largest
-  scale); each entry has:
-
-  - ``family`` — instance label, e.g. ``"flood/grid"``;
-  - ``n`` / ``m`` — nodes and edges of the topology;
-  - ``workload`` — the node-program name from
-    :mod:`repro.congest.workloads`;
-  - ``rounds`` / ``messages`` — simulated totals (identical across
-    engines by construction; E14 raises on divergence);
-  - ``engines`` — mapping engine name -> ``{"wall_s",
-    "rounds_per_s", "messages_per_s"}`` (best-of-N wall seconds and
-    derived throughputs);
-  - ``speedup`` — reference wall time / batched wall time.
-
-* ``speedups`` — the per-family speedup column, same order.
-* ``largest_scale_speedup`` — ``speedups[-1]``; the tracked headline
-  number (CI asserts it stays >= 3).
-
-BENCH_quality.json schema
--------------------------
-
-``python benchmarks/bench_e15_quality.py --out BENCH_quality.json``
-writes the analysis-layer twin (schema id ``repro.bench_quality.v1``):
-wall time of :func:`repro.core.quality.measure` per quality kernel
-(``reference`` vs ``fast``) over the family pool of
-:func:`repro.analysis.experiments.quality_families`.  A JSON object
-with:
-
-* ``schema`` — the literal string ``"repro.bench_quality.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E15 instance sizes).
-* ``kernels`` — list of quality-kernel names measured
-  (``repro.core.quality.KERNELS`` order).
+* ``schema`` — the literal string ``"repro.bench_twins.v1"``.
+* ``scale`` — ``"small"`` or ``"paper"`` (the instance sizes).
 * ``python`` / ``machine`` — interpreter version and architecture.
-* ``families`` — list ordered by measurement cost (last = largest
-  scale); each entry has:
+* ``rows`` — one entry per row run, in table order; each has:
 
-  - ``family`` — instance label, e.g. ``"grid-large/voronoi"``;
-  - ``n`` / ``m`` / ``parts`` — topology and partition sizes;
-  - ``congestion`` / ``dilation`` / ``block_parameter`` — the measured
-    quality values (identical across kernels by construction; E15
-    raises on divergence);
-  - ``kernels`` — mapping kernel name -> ``{"wall_s",
-    "measures_per_s"}`` (best-of-N wall seconds for one full
-    ``measure()`` with dilation);
-  - ``speedup`` — reference wall time / fast wall time.
+  - ``experiment`` / ``layer`` — the E-id and the layer timed, e.g.
+    ``"E15"`` / ``"quality-kernel"``;
+  - ``reference`` / ``fast`` — the two twins' axis values, e.g.
+    ``"simulate"`` / ``"direct"``;
+  - ``repeats`` — N of the best-of-N wall times;
+  - ``families`` — ordered small → large; each entry has ``family``
+    (the label), the row's descriptive columns (``n`` and, per row,
+    ``m`` / ``parts`` / ``rounds`` / ``messages`` / ``congestion`` /
+    ``dilation`` / ``trials`` / ``iterations`` / ``phases`` /
+    ``rungs``; identical across twins, since the run raises on any
+    divergence), ``wall_s`` (twin -> best-of-N wall seconds, only the
+    twins that ran) and ``speedup`` (reference wall / fast wall, or
+    ``null`` when one twin did not run: E17's direct-only extension
+    families, or the vector strategy without numpy);
+  - ``anchor_speedup`` — the last non-null ``speedup``, the tracked
+    headline number;
+  - ``gate`` — ``null`` for report-only rows, else the bars at this
+    scale (``anchor``: the anchor speedup must reach it; ``floor``:
+    every speedup must exceed it) and ``failures``, the bars missed.  ``--gate`` exits 1 when any row has failures.
 
-* ``speedups`` — the per-family speedup column, same order.
-* ``largest_scale_speedup`` — ``speedups[-1]``; the tracked headline
-  number (CI asserts it stays >= 3).
-
-BENCH_construct.json schema
----------------------------
-
-``python benchmarks/bench_e16_construct.py --out BENCH_construct.json``
-writes the construction-layer baseline (schema id
-``repro.bench_construct.v1``): wall time of one full parameter-oblivious
-``find_shortcut_doubling`` search per construction mode (``simulate``
-vs ``direct``, see :mod:`repro.core.construct_fast`) over the family
-pool of :func:`repro.analysis.experiments.construct_families`.  A JSON
-object with:
-
-* ``schema`` — the literal string ``"repro.bench_construct.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E16 instance sizes).
-* ``modes`` — construction-mode names measured
-  (``repro.core.construct_fast.MODES`` order).
-* ``python`` / ``machine`` — interpreter version and architecture.
-* ``families`` — list ordered by simulate-mode cost (last = largest
-  scale); each entry has:
-
-  - ``family`` — instance label, e.g. ``"grid-large/voronoi"``;
-  - ``n`` / ``m`` / ``parts`` — topology and partition sizes;
-  - ``trials`` / ``iterations`` — doubling trials and the successful
-    trial's iteration count (identical across modes by construction;
-    E16 raises on divergence);
-  - ``modes`` — mapping mode name -> ``{"wall_s",
-    "constructions_per_s", "rounds"}`` (best-of-N wall seconds for one
-    full doubling search; ``rounds`` is the ledger total — measured in
-    simulate mode, the analytic model in direct mode);
-  - ``speedup`` — simulate wall time / direct wall time.
-
-* ``speedups`` — the per-family speedup column, same order.
-* ``largest_scale_speedup`` — ``speedups[-1]``; the tracked headline
-  number (CI gates it at >= 5; the paper-scale record in
-  EXPERIMENTS.md clears >= 20).
-
-BENCH_apps.json schema
-----------------------
-
-``python benchmarks/bench_e17_apps.py --out BENCH_apps.json`` writes
-the application-layer baseline (schema id ``repro.bench_apps.v1``):
-wall time of one complete shortcut Borůvka MST (BFS tree → shared
-randomness → per-phase doubling search → Theorem 2 aggregation →
-star-merge broadcast) per partwise backend (``simulate`` vs ``direct``,
-see :mod:`repro.core.partwise_fast`; the direct runs also use the
-direct construction kernels) over the family pool of
-:func:`repro.analysis.experiments.app_families`.  A JSON object with:
-
-* ``schema`` — the literal string ``"repro.bench_apps.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E17 instance sizes).
-* ``backends`` — partwise-backend names measured
-  (``repro.core.partwise_fast.BACKENDS`` order).
-* ``python`` / ``machine`` — interpreter version and architecture.
-* ``families`` — list ordered by simulate-mode cost with the
-  direct-only extension instances last; each entry has:
-
-  - ``family`` — instance label, e.g. ``"grid-large/boruvka"``;
-  - ``n`` / ``m`` — topology sizes;
-  - ``phases`` — Borůvka phases (identical across backends by
-    construction; E17 raises on divergence of edges, weight, phases,
-    or per-phase merges);
-  - ``backends`` — mapping backend name -> ``{"wall_s", "msts_per_s",
-    "rounds"}`` (best-of-N wall seconds for one full MST; ``rounds``
-    is the ledger total — exact in both backends at fixed construction
-    mode, the Lemma 3 model inflates the direct construction rounds);
-  - ``speedup`` — simulate wall time / direct wall time, or ``null``
-    for the direct-only extension families (validated against Kruskal
-    instead of the simulated twin).
-
-* ``speedups`` — the speedup column of the both-backend families.
-* ``largest_scale_speedup`` — the last both-backend family's speedup;
-  the tracked headline number (CI gates it at >= 3).
-* ``extension_max_n`` / ``e9_grid_n`` — largest direct-only instance
-  and the same-scale E9 grid size it is measured against; the bench
-  asserts ``extension_max_n >= 10 * e9_grid_n`` (>= 1000 nodes at
-  paper scale).
-
-BENCH_instances.json schema
----------------------------
-
-``python benchmarks/bench_e18_instances.py --out BENCH_instances.json``
-writes the instance-pipeline baseline (schema id
-``repro.bench_instances.v1``): wall time of one full (topology, BFS
-tree, partition) construction per pipeline — the validating
-**reference** constructors (``Topology(n, edges)`` canonicalisation,
-``SpanningTree.bfs``, list-of-parts ``Partition``, plus the derived
-CSR/tree arrays) vs the **array-native fast path**
-(:func:`repro.analysis.instances.hydrate`: pre-canonical edge arrays,
-seeded CSR, CSR BFS tree with cached ``TreeArrays``, dense-label
-partitions, content-addressed cache) — over the family pool of
-:func:`repro.analysis.experiments.instance_families`.  A JSON object
-with:
-
-* ``schema`` — the literal string ``"repro.bench_instances.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E18 instance sizes).
-* ``grid_reps`` — how many times the end-to-end model re-uses each
-  instance per process (the experiment-grid reuse pattern the cache
-  serves).
-* ``python`` / ``machine`` — interpreter version and architecture.
-* ``families`` — list ordered by reference-pipeline cost (last =
-  largest scale); each entry has:
-
-  - ``family`` — instance label, e.g. ``"grid-large/weighted-voronoi"``;
-  - ``n`` / ``m`` / ``parts`` — topology and partition sizes;
-  - ``reference`` — ``{"wall_s"}`` (best-of-N wall seconds of one
-    reference build);
-  - ``fast`` — ``{"cold_wall_s", "cached_wall_s"}`` (best-of-N wall
-    seconds of one hydrate with an empty / warm per-process cache);
-  - ``cold_speedup`` — reference wall / cold-fast wall (isolates the
-    array-native constructors);
-  - ``speedup`` — end-to-end: ``grid_reps`` reference rebuilds vs one
-    cold build plus ``grid_reps - 1`` cache hits.
-
-* ``speedups`` — the per-family end-to-end speedup column, same order.
-* ``largest_scale_speedup`` — ``speedups[-1]``; the tracked headline
-  number (CI gates it at >= 3).
-* ``cache`` — the per-process cache sizes at the end of the run.
-
-E18 additionally audits, on every family, that both pipelines built
-``==``-identical structures (edges, adjacency, weights, tree parents,
-partition labels) and raises on any divergence; the full differential
-suite lives in ``tests/graphs/test_fastpath_equivalence.py``.
+Wall-clock fields vary run to run; every other field is deterministic.
 
 BENCH_failures.json schema
 --------------------------
@@ -289,72 +140,6 @@ a seeded chaos storm.  A JSON object with:
 Throughput and latency fields vary run to run; the correctness fields
 (``warm`` flags, result equality, ``chaos.wrong == 0``) are asserted
 inside the runner itself.
-
-BENCH_batch.json schema
------------------------
-
-``python benchmarks/bench_e21_batch.py --scale paper --out
-BENCH_batch.json`` writes the batch-layer baseline (schema id
-``repro.bench_batch.v1``): wall time of one fused construct → measure
-→ verify pass (:func:`repro.core.batch.run_pipeline`) over the whole
-:func:`repro.analysis.experiments.batch_grid` instance sweep, once per
-batch strategy — ``"loop"`` (the per-instance fast kernels) vs
-``"vector"`` (the numpy kernels over one packed ``BatchCSR``, needing
-the ``fast-math`` extra).  A JSON object with:
-
-* ``schema`` — the literal string ``"repro.bench_batch.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E21 grid sizes; the
-  acceptance gate lives at paper scale: 128 grids of side 12).
-* ``strategies`` — batch-strategy names measured
-  (``repro.core.batch.BATCHES`` order; ``"vector"`` absent without
-  numpy).
-* ``python`` / ``machine`` — interpreter version and architecture.
-* ``grid`` — the sweep shape: ``family`` / ``instances`` / ``side`` /
-  ``n`` / ``m`` / ``parts`` per instance, plus the shared ``c`` and
-  ``b_limit`` parameters.
-* ``results`` — mapping strategy name -> ``{"wall_s",
-  "instances_per_s"}`` (best-of-N wall seconds for the whole grid).
-* ``max_congestion`` / ``max_dilation`` — measured maxima over the
-  grid (identical across strategies by construction; E21 raises on
-  any divergence of reports, counts, rounds, or messages).
-* ``speedup`` — loop wall time / vector wall time, or ``null``
-  without numpy; the tracked headline number (CI gates it at >= 3 at
-  paper scale via the ``batch-bench`` job).
-
-BENCH_batch_construct.json schema
----------------------------------
-
-``python benchmarks/bench_e22_batch_construct.py --scale paper --out
-BENCH_batch_construct.json`` writes the batched-construction baseline
-(schema id ``repro.bench_batch_construct.v1``): wall time of the whole
-``(c, b)`` doubling ladder
-(:func:`repro.core.batch.find_shortcut_doubling_batch`) over the
-mixed-family :func:`repro.analysis.experiments.e22_grid` sweep, once
-per batch strategy — ``"loop"`` (the per-instance Appendix A search in
-``mode="direct"``) vs ``"vector"`` (the lockstep ladder over one
-packed ``BatchCSR`` with active-set compaction, needing the
-``fast-math`` extra).  A JSON object with:
-
-* ``schema`` — the literal string ``"repro.bench_batch_construct.v1"``.
-* ``scale`` — ``"small"`` or ``"paper"`` (the E22 grid sizes; the
-  acceptance gate lives at paper scale).
-* ``strategies`` — batch-strategy names measured (``"vector"`` absent
-  without numpy).
-* ``python`` / ``machine`` — interpreter version and architecture.
-* ``grid`` — the sweep shape: ``family`` (the mixed
-  ``"grid+torus+hub"`` sweep), ``instances``, and the summed
-  ``n_total`` / ``m_total`` / ``parts_total``.
-* ``results`` — mapping strategy name -> ``{"wall_s",
-  "instances_per_s"}`` (best-of-N wall seconds for the whole ladder).
-* ``max_rungs`` — deepest ``(c, b)`` ladder climbed by any instance.
-* ``rungs`` — per-rung breakdown from the ``Trial`` timing satellite:
-  rung index -> ``{"instances", "succeeded", "rounds", "messages"}``
-  (identical across strategies; E22 raises on any divergence of
-  trials, histories, shortcuts, or ledgers).
-* ``total_rounds`` — summed ledger rounds over the grid.
-* ``speedup`` — loop wall time / vector wall time, or ``null``
-  without numpy; the tracked headline number (CI gates it at >= 3 at
-  paper scale via the ``batch-construct-bench`` job).
 
 BENCH_resilience.json schema
 ----------------------------

@@ -27,21 +27,18 @@ import math
 import random
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.instances import (
     InstanceSpec,
     clear_instance_cache,
     hydrate,
-    instance_cache_info,
-    reference_instance,
 )
 from repro.analysis.metrics import bound_ratio, fraction, loglog_slope
 from repro.analysis.parallel import parallel_map, resolve_jobs
-from repro.analysis.tables import Table
-from repro.apps.aggregation import min_outgoing_edges
+from repro.analysis.tables import ExperimentResult, Table
 from repro.apps.fragment_comm import fragment_aggregate
 from repro.apps.mst import kruskal_reference, minimum_spanning_tree
 from repro.apps.mst_baselines import (
@@ -50,25 +47,14 @@ from repro.apps.mst_baselines import (
     mst_no_shortcut,
 )
 from repro.congest.engine import (
-    ENGINES,
     engine_parameter,
     get_default_engine,
     using_engine,
 )
 from repro.congest.randomness import mix
 from repro.congest.simulator import Simulator
-from repro.core.construct_fast import (
-    MODES as CONSTRUCT_MODES,
-    construct_mode_parameter,
-    get_default_mode,
-    using_mode,
-)
-from repro.core.partwise_fast import (
-    BACKENDS,
-    backend_parameter,
-    get_default_backend,
-    using_backend,
-)
+from repro.core.construct_fast import construct_mode_parameter, get_default_mode
+from repro.core.partwise_fast import backend_parameter, get_default_backend
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.congest.workloads import (
@@ -77,17 +63,11 @@ from repro.congest.workloads import (
     NeighborScanAlgorithm,
 )
 from repro.core import quality, quality_fast
-from repro.core.batch import (
-    BATCHES as BATCH_STRATEGIES,
-    find_shortcut_doubling_batch,
-    measure_batch,
-    run_pipeline,
-)
 from repro.graphs.batch_csr import numpy_available as batch_numpy_available
 from repro.core.core_fast import core_fast, sampling_parameters
 from repro.core.core_slow import core_slow
 from repro.core.doubling import find_shortcut_doubling
-from repro.core.existence import best_certified, genus_bound, greedy_capped_shortcut
+from repro.core.existence import best_certified, genus_bound
 from repro.core.find_shortcut import find_shortcut
 from repro.core.partwise import PartwiseEngine
 from repro.core.tree_routing import (
@@ -116,23 +96,6 @@ from repro.graphs.weights import hub_adversarial_weights, weighted
 from repro.service.client import spec_to_json
 from repro.service.server import PARAM_DEFAULTS, ShortcutService
 from repro.service.store import PersistentStore, spec_key
-
-
-@dataclass
-class ExperimentResult:
-    """One regenerated table plus machine-checkable data."""
-
-    experiment: str
-    claim: str
-    table: Table
-    data: Dict = field(default_factory=dict)
-    notes: str = ""
-
-    def render(self) -> str:
-        lines = [f"## {self.experiment}: {self.claim}", "", str(self.table)]
-        if self.notes:
-            lines += ["", self.notes]
-        return "\n".join(lines)
 
 
 def _log2(x: float) -> float:
@@ -645,7 +608,7 @@ def run_e08(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 # Side of the simulated E9 grid per scale; E17's extension families are
-# gated against >= 10x this instance (bench_e17_apps.py).
+# gated against >= 10x this instance (the E17 row of repro.bench).
 E9_GRID_SIDES = {"small": 7, "paper": 10}
 
 
@@ -976,8 +939,12 @@ def run_e13(scale: str = "small") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# E14 — engine throughput: rounds/sec per graph family, per engine
+# E14–E18, E21, E22 — twin-throughput workloads
 # ----------------------------------------------------------------------
+#
+# These experiments check no claim of the paper: they are the rows of
+# repro.bench, which time each fast twin against its reference twin on
+# the family builders below.
 
 
 def engine_families(scale: str) -> List[Tuple[str, Topology, "NodeAlgorithm", int]]:
@@ -986,7 +953,7 @@ def engine_families(scale: str) -> List[Tuple[str, Topology, "NodeAlgorithm", in
     Each workload is engine-bound (trivial per-node compute, heavy
     traffic) so the measured wall time is the simulator's own overhead,
     not the algorithm's.  The list is ordered by message volume; the
-    last entry is the "largest scale" quoted in BENCH_simulator.json.
+    last entry anchors the row's speedup.
     """
     big = scale == "paper"
     side = 40 if big else 24
@@ -1002,99 +969,6 @@ def engine_families(scale: str) -> List[Tuple[str, Topology, "NodeAlgorithm", in
     ]
 
 
-def run_e14(scale: str = "small", repeats: int = 3) -> ExperimentResult:
-    """Throughput of every registered engine on the workload families.
-
-    Also cross-checks conformance on the fly: every engine must report
-    identical ``rounds`` and ``messages`` on every family (the full
-    differential suite lives in ``tests/congest/test_engine_equivalence.py``).
-    The ``data`` dict carries the ``BENCH_simulator.json`` payload; see
-    ``benchmarks/conftest.py`` for the schema.
-    """
-    engine_names = sorted(ENGINES)
-    table = Table(
-        "E14: simulator engine throughput (best-of-%d wall time)" % repeats,
-        ["family", "n", "m", "rounds", "messages"]
-        + [f"{name} s" for name in engine_names]
-        + [f"{name} r/s" for name in engine_names]
-        + ["speedup"],
-    )
-    families = []
-    speedups = []
-    for name, topology, workload, seed in engine_families(scale):
-        per_engine: Dict[str, Dict[str, float]] = {}
-        baseline_result = None
-        baseline_engine = None
-        for engine_name in engine_names:
-            best = math.inf
-            result = None
-            for _ in range(repeats):
-                simulator = Simulator(
-                    topology, workload, seed=seed, engine=engine_name
-                )
-                start = time.perf_counter()
-                result = simulator.run()
-                best = min(best, time.perf_counter() - start)
-            if baseline_result is None:
-                baseline_result = result
-                baseline_engine = engine_name
-            elif (result.rounds, result.messages) != (
-                baseline_result.rounds,
-                baseline_result.messages,
-            ):
-                raise AssertionError(
-                    f"engines disagree on {name}: {engine_name} got "
-                    f"{result!r} but {baseline_engine} got {baseline_result!r}"
-                )
-            per_engine[engine_name] = {
-                "wall_s": best,
-                "rounds_per_s": result.rounds / best if best > 0 else math.inf,
-                "messages_per_s": result.messages / best if best > 0 else math.inf,
-            }
-        speedup = per_engine["reference"]["wall_s"] / per_engine["batched"]["wall_s"]
-        speedups.append(speedup)
-        families.append(
-            {
-                "family": name,
-                "n": topology.n,
-                "m": topology.m,
-                "workload": workload.name,
-                "rounds": baseline_result.rounds,
-                "messages": baseline_result.messages,
-                "engines": per_engine,
-                "speedup": speedup,
-            }
-        )
-        table.add_row(
-            name, topology.n, topology.m,
-            baseline_result.rounds, baseline_result.messages,
-            *[round(per_engine[e]["wall_s"], 4) for e in engine_names],
-            *[int(per_engine[e]["rounds_per_s"]) for e in engine_names],
-            round(speedup, 2),
-        )
-    return ExperimentResult(
-        "E14",
-        "the batched engine outpaces the reference engine at identical semantics",
-        table,
-        data={
-            "schema": "repro.bench_simulator.v1",
-            "scale": scale,
-            "engines": engine_names,
-            "families": families,
-            "speedups": speedups,
-            "largest_scale_speedup": speedups[-1],
-        },
-        notes="Workloads are engine-bound (trivial node compute); the "
-        "last family is the largest message volume and anchors the "
-        "tracked speedup.",
-    )
-
-
-# ----------------------------------------------------------------------
-# E15 — quality-kernel throughput: fast vs reference measures
-# ----------------------------------------------------------------------
-
-
 def quality_families(scale: str) -> List[Tuple[str, Topology, "partitions.Partition", int]]:
     """Benchmark families for the quality kernels, small→large.
 
@@ -1103,7 +977,7 @@ def quality_families(scale: str) -> List[Tuple[str, Topology, "partitions.Partit
     ``greedy_capped_shortcut`` so the timed work is measuring quality,
     not constructing shortcuts.  Ordered by ``measure()`` cost; the
     last entry (largest parts, heaviest all-pairs dilation) anchors the
-    headline speedup in ``BENCH_quality.json``.
+    row's speedup.
     """
     big = scale == "paper"
     side = 36 if big else 22
@@ -1121,146 +995,6 @@ def quality_families(scale: str) -> List[Tuple[str, Topology, "partitions.Partit
     ]
 
 
-def run_e15(scale: str = "small", repeats: int = 3) -> ExperimentResult:
-    """Throughput of both quality kernels on the family pool.
-
-    Also cross-checks equivalence on the fly: the fast and reference
-    kernels must return an identical :class:`~repro.core.quality.QualityReport`
-    on every family (the full differential suite lives in
-    ``tests/core/test_quality_equivalence.py``).  The ``data`` dict
-    carries the ``BENCH_quality.json`` payload; see
-    ``benchmarks/conftest.py`` for the schema.
-    """
-    kernel_names = list(quality.KERNELS)
-    table = Table(
-        "E15: quality-kernel throughput (best-of-%d wall time)" % repeats,
-        ["family", "n", "m", "N", "congestion", "dilation"]
-        + [f"{name} s" for name in kernel_names]
-        + ["speedup"],
-    )
-    families = []
-    speedups = []
-    pool_shortcuts = []
-    pool_topologies = []
-    for name, topology, partition, cap in quality_families(scale):
-        tree = SpanningTree.bfs(topology, 0)
-        shortcut, _unusable = greedy_capped_shortcut(tree, partition, cap)
-        pool_shortcuts.append(shortcut)
-        pool_topologies.append(topology)
-        per_kernel: Dict[str, Dict[str, float]] = {}
-        reports: Dict[str, quality.QualityReport] = {}
-        for kernel in kernel_names:
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                report = quality.measure(
-                    shortcut, topology, with_dilation=True, kernel=kernel
-                )
-                best = min(best, time.perf_counter() - start)
-            reports[kernel] = report
-            per_kernel[kernel] = {
-                "wall_s": best,
-                "measures_per_s": 1.0 / best if best > 0 else math.inf,
-            }
-        if reports["fast"] != reports["reference"]:
-            raise AssertionError(
-                f"quality kernels disagree on {name}: fast="
-                f"{reports['fast']!r} but reference={reports['reference']!r}"
-            )
-        report = reports["reference"]
-        speedup = per_kernel["reference"]["wall_s"] / per_kernel["fast"]["wall_s"]
-        speedups.append(speedup)
-        families.append(
-            {
-                "family": name,
-                "n": topology.n,
-                "m": topology.m,
-                "parts": partition.size,
-                "congestion": report.congestion,
-                "dilation": report.dilation,
-                "block_parameter": report.block_parameter,
-                "kernels": per_kernel,
-                "speedup": speedup,
-            }
-        )
-        table.add_row(
-            name, topology.n, topology.m, partition.size,
-            report.congestion, report.dilation,
-            *[round(per_kernel[k]["wall_s"], 5) for k in kernel_names],
-            round(speedup, 2),
-        )
-    # Batch row: the whole pool measured through the batch axis, loop
-    # vs vector (the vectorized kernels amortize across instances; E21
-    # gates the grid-scale speedup, this row tracks the pool here).
-    batch_data = None
-    if batch_numpy_available():
-        batch_walls: Dict[str, float] = {}
-        batch_reports = {}
-        for strategy in BATCH_STRATEGIES:
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                reports = measure_batch(
-                    pool_shortcuts, pool_topologies, batch=strategy
-                )
-                best = min(best, time.perf_counter() - start)
-            batch_walls[strategy] = best
-            batch_reports[strategy] = reports
-        if batch_reports["vector"] != batch_reports["loop"]:
-            raise AssertionError(
-                "batch strategies disagree on the quality pool: "
-                f"vector={batch_reports['vector']!r} but "
-                f"loop={batch_reports['loop']!r}"
-            )
-        batch_speedup = batch_walls["loop"] / batch_walls["vector"]
-        batch_data = {
-            "strategies": {
-                strategy: {"wall_s": batch_walls[strategy]}
-                for strategy in BATCH_STRATEGIES
-            },
-            "instances": len(pool_shortcuts),
-            "speedup": batch_speedup,
-        }
-        pool_reports = batch_reports["loop"]
-        table.add_row(
-            f"batch-pool[{len(pool_shortcuts)}]",
-            sum(topology.n for topology in pool_topologies),
-            sum(topology.m for topology in pool_topologies),
-            sum(shortcut.size for shortcut in pool_shortcuts),
-            max(report.congestion for report in pool_reports),
-            max(report.dilation for report in pool_reports),
-            round(batch_walls["loop"], 5),
-            round(batch_walls["vector"], 5),
-            round(batch_speedup, 2),
-        )
-    return ExperimentResult(
-        "E15",
-        "the flat-array quality kernels outpace the reference at identical reports",
-        table,
-        data={
-            "schema": "repro.bench_quality.v1",
-            "scale": scale,
-            "kernels": kernel_names,
-            "families": families,
-            "speedups": speedups,
-            "largest_scale_speedup": speedups[-1],
-            "batch": batch_data,
-        },
-        notes="Shortcuts are built centrally so the timing isolates "
-        "quality measurement; the last family has the largest parts "
-        "(heaviest dilation scan) and anchors the tracked speedup.  "
-        "The batch-pool row times the whole pool through "
-        "measure_batch: its kernel columns hold the loop and vector "
-        "strategies' wall seconds (absent without the fast-math "
-        "extra); E21 tracks the grid-scale batch speedup.",
-    )
-
-
-# ----------------------------------------------------------------------
-# E16 — construction throughput: direct kernels vs simulation
-# ----------------------------------------------------------------------
-
-
 def construct_families(scale: str) -> List[Tuple[str, Topology, "partitions.Partition", int]]:
     """Benchmark families for the construction stack, small→large.
 
@@ -1268,7 +1002,7 @@ def construct_families(scale: str) -> List[Tuple[str, Topology, "partitions.Part
     full parameter-oblivious doubling search (share randomness →
     CoreFast ⟲ Verification → freeze, warm-started doubling) on every
     family in both modes.  Ordered by simulate-mode cost; the last
-    entry anchors the headline speedup in ``BENCH_construct.json``.
+    entry anchors the row's speedup.
     """
     big = scale == "paper"
     side_a = 12 if big else 10
@@ -1287,181 +1021,6 @@ def construct_families(scale: str) -> List[Tuple[str, Topology, "partitions.Part
     ]
 
 
-def run_e16(scale: str = "small", repeats: int = 2) -> ExperimentResult:
-    """Throughput of both construction modes on the family pool.
-
-    Also cross-checks conformance on the fly: both modes must return
-    identical doubling trials, shortcut edge maps, good histories, and
-    iteration counts on every family (the full differential suite
-    lives in ``tests/core/test_construct_equivalence.py``).  The
-    ``data`` dict carries the ``BENCH_construct.json`` payload; see
-    ``benchmarks/conftest.py`` for the schema.
-    """
-    mode_names = list(CONSTRUCT_MODES)
-    table = Table(
-        "E16: construction throughput (best-of-%d wall time)" % repeats,
-        ["family", "n", "N", "trials", "iters"]
-        + [f"{name} s" for name in mode_names]
-        + ["speedup"],
-    )
-    families = []
-    speedups = []
-    for name, topology, partition, seed in construct_families(scale):
-        tree = SpanningTree.bfs(topology, 0)
-        per_mode: Dict[str, Dict[str, float]] = {}
-        outcomes = {}
-        for mode in mode_names:
-            best = math.inf
-            outcome = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                outcome = find_shortcut_doubling(
-                    topology, tree, partition, seed=seed, mode=mode
-                )
-                best = min(best, time.perf_counter() - start)
-            outcomes[mode] = outcome
-            per_mode[mode] = {
-                "wall_s": best,
-                "constructions_per_s": 1.0 / best if best > 0 else math.inf,
-                "rounds": outcome.rounds,
-            }
-        simulate, direct = outcomes["simulate"], outcomes["direct"]
-        direct_wall = per_mode["direct"]["wall_s"]
-        diverged = [
-            label
-            for label, match in (
-                (
-                    "trials",
-                    [t.signature for t in direct.trials]
-                    == [t.signature for t in simulate.trials],
-                ),
-                (
-                    "edge_map",
-                    direct.result.shortcut.edge_map
-                    == simulate.result.shortcut.edge_map,
-                ),
-                (
-                    "good_history",
-                    direct.result.good_history == simulate.result.good_history,
-                ),
-            )
-            if not match
-        ]
-        if diverged:
-            raise AssertionError(
-                f"construction modes disagree on {name} "
-                f"({', '.join(diverged)} diverged): direct trials="
-                f"{direct.trials!r} but simulate trials={simulate.trials!r}"
-            )
-        speedup = (
-            per_mode["simulate"]["wall_s"] / direct_wall
-            if direct_wall > 0
-            else math.inf
-        )
-        speedups.append(speedup)
-        families.append(
-            {
-                "family": name,
-                "n": topology.n,
-                "m": topology.m,
-                "parts": partition.size,
-                "trials": len(simulate.trials),
-                "iterations": simulate.result.iterations,
-                "modes": per_mode,
-                "speedup": speedup,
-            }
-        )
-        table.add_row(
-            name, topology.n, partition.size,
-            len(simulate.trials), simulate.result.iterations,
-            *[round(per_mode[m]["wall_s"], 4) for m in mode_names],
-            round(speedup, 2),
-        )
-    # Batch row: a same-family grid through the fused construct →
-    # measure → verify pipeline, loop vs vector (E21 gates the
-    # paper-scale grid; this row tracks a smaller sweep here).
-    batch_data = None
-    if batch_numpy_available():
-        count, side = (16, 10) if scale == "paper" else (6, 8)
-        grid_specs = [
-            InstanceSpec(
-                "grid", (side, side), partition=("voronoi", 8, 3 + index)
-            )
-            for index in range(count)
-        ]
-        grid_instances = [hydrate(spec) for spec in grid_specs]
-        grid_topologies = [inst.topology for inst in grid_instances]
-        grid_trees = [inst.tree for inst in grid_instances]
-        grid_partitions = [inst.partition for inst in grid_instances]
-        batch_walls: Dict[str, float] = {}
-        batch_results = {}
-        for strategy in BATCH_STRATEGIES:
-            best = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                pipeline = run_pipeline(
-                    grid_topologies, grid_trees, grid_partitions,
-                    3, [3] * count, batch=strategy,
-                )
-                best = min(best, time.perf_counter() - start)
-            batch_walls[strategy] = best
-            batch_results[strategy] = pipeline
-        if batch_results["vector"] != batch_results["loop"]:
-            raise AssertionError(
-                "batch strategies disagree on the pipeline grid: "
-                f"vector={batch_results['vector']!r} but "
-                f"loop={batch_results['loop']!r}"
-            )
-        batch_speedup = batch_walls["loop"] / batch_walls["vector"]
-        batch_data = {
-            "strategies": {
-                strategy: {"wall_s": batch_walls[strategy]}
-                for strategy in BATCH_STRATEGIES
-            },
-            "instances": count,
-            "side": side,
-            "speedup": batch_speedup,
-        }
-        table.add_row(
-            f"grid-batch[{count}]",
-            sum(topology.n for topology in grid_topologies),
-            sum(partition.size for partition in grid_partitions),
-            count,
-            "-",
-            round(batch_walls["loop"], 4),
-            round(batch_walls["vector"], 4),
-            round(batch_speedup, 2),
-        )
-    return ExperimentResult(
-        "E16",
-        "the direct construction kernels outpace the simulated pipeline at identical outputs",
-        table,
-        data={
-            "schema": "repro.bench_construct.v1",
-            "scale": scale,
-            "modes": mode_names,
-            "families": families,
-            "speedups": speedups,
-            "largest_scale_speedup": speedups[-1],
-            "batch": batch_data,
-        },
-        notes="Each cell runs the full parameter-oblivious doubling "
-        "search; the last family is the costliest simulated pipeline "
-        "and anchors the tracked speedup.  Direct-mode round totals "
-        "use the analytic ledger (exact cores, Lemma 3 bound for "
-        "verification).  The grid-batch row runs a same-family sweep "
-        "through the fused construct → measure → verify pipeline: its "
-        "mode columns hold the loop and vector batch strategies' wall "
-        "seconds (absent without the fast-math extra); E21 gates the "
-        "paper-scale grid speedup.",
-    )
-
-
-# ----------------------------------------------------------------------
-# E17 — application throughput: direct backend vs the simulated stack
-# ----------------------------------------------------------------------
-
-
 def app_families(scale: str) -> List[Tuple[str, Topology, int, bool]]:
     """Benchmark families for the application stack, small→large.
 
@@ -1470,8 +1029,8 @@ def app_families(scale: str) -> List[Tuple[str, Topology, int, bool]]:
     randomness → per-phase doubling search → Theorem 2 aggregation →
     star-merge broadcast) end to end.  Families with
     ``timed_in_both=True`` run on both the fully-simulated and the
-    fully-direct stack (the last of them anchors the headline speedup
-    in ``BENCH_apps.json``); the remaining *extension* families are
+    fully-direct stack (the last of them anchors the row's speedup);
+    the remaining *extension* families are
     direct-only — paper-scale instances ≥ 10x beyond the simulated E9
     grid, validated against Kruskal instead of the simulated twin.
     """
@@ -1511,133 +1070,14 @@ def app_families(scale: str) -> List[Tuple[str, Topology, int, bool]]:
     return families
 
 
-def run_e17(scale: str = "small", repeats: int = 2) -> ExperimentResult:
-    """Throughput of the application stack on both backends.
-
-    ``backend="simulate"`` runs everything as CONGEST node programs
-    (with simulated construction); ``backend="direct"`` runs the
-    simulation-free partwise backend with the direct construction
-    kernels.  Combinatorial outputs (MST edges, weight, phases, merges)
-    must agree — the full bit-for-bit differential suite (including
-    ledgers at fixed construction mode) lives in
-    ``tests/apps/test_app_equivalence.py``.  The ``data`` dict carries
-    the ``BENCH_apps.json`` payload; see ``benchmarks/conftest.py`` for
-    the schema.
-    """
-    backend_names = list(BACKENDS)
-    table = Table(
-        "E17: application (MST) throughput (best-of-%d wall time)" % repeats,
-        ["family", "n", "m", "phases", "simulate s", "direct s", "speedup"],
-    )
-    families = []
-    speedups = []
-    largest_scale_speedup = 0.0
-    extension_max_n = 0
-    for name, topology, seed, timed_in_both in app_families(scale):
-        per_backend: Dict[str, Dict[str, float]] = {}
-        results = {}
-        modes_run = backend_names if timed_in_both else ["direct"]
-        for backend in modes_run:
-            best = math.inf
-            result = None
-            for _ in range(repeats):
-                start = time.perf_counter()
-                result = minimum_spanning_tree(
-                    topology, params="doubling", seed=seed,
-                    backend=backend, construct_mode=backend,
-                )
-                best = min(best, time.perf_counter() - start)
-            results[backend] = result
-            per_backend[backend] = {
-                "wall_s": best,
-                "msts_per_s": 1.0 / best if best > 0 else math.inf,
-                "rounds": result.rounds,
-            }
-        _edges, ref_weight = kruskal_reference(topology)
-        if results["direct"].weight != ref_weight:
-            raise AssertionError(f"direct MST inexact on {name}")
-        if timed_in_both:
-            simulate, direct = results["simulate"], results["direct"]
-            diverged = [
-                label
-                for label, match in (
-                    ("edges", direct.edges == simulate.edges),
-                    ("weight", direct.weight == simulate.weight),
-                    ("phases", direct.phases == simulate.phases),
-                    (
-                        "merges",
-                        [r.merges for r in direct.phase_records]
-                        == [r.merges for r in simulate.phase_records],
-                    ),
-                )
-                if not match
-            ]
-            if diverged:
-                raise AssertionError(
-                    f"backends disagree on {name}: {', '.join(diverged)}"
-                )
-            direct_wall = per_backend["direct"]["wall_s"]
-            speedup = (
-                per_backend["simulate"]["wall_s"] / direct_wall
-                if direct_wall > 0
-                else math.inf
-            )
-            speedups.append(speedup)
-            largest_scale_speedup = speedup
-        else:
-            speedup = None
-            extension_max_n = max(extension_max_n, topology.n)
-        families.append(
-            {
-                "family": name,
-                "n": topology.n,
-                "m": topology.m,
-                "phases": results["direct"].phases,
-                "backends": per_backend,
-                "speedup": speedup,
-            }
-        )
-        table.add_row(
-            name, topology.n, topology.m, results["direct"].phases,
-            round(per_backend["simulate"]["wall_s"], 3) if timed_in_both else "—",
-            round(per_backend["direct"]["wall_s"], 4),
-            round(speedup, 2) if speedup is not None else "—",
-        )
-    return ExperimentResult(
-        "E17",
-        "the direct application backend outpaces the simulated stack at identical outputs",
-        table,
-        data={
-            "schema": "repro.bench_apps.v1",
-            "scale": scale,
-            "backends": backend_names,
-            "families": families,
-            "speedups": speedups,
-            "largest_scale_speedup": largest_scale_speedup,
-            "extension_max_n": extension_max_n,
-            # The same-scale E9 grid size the extension is measured against.
-            "e9_grid_n": E9_GRID_SIDES["paper" if scale == "paper" else "small"] ** 2,
-        },
-        notes="Each cell runs the complete shortcut Borůvka MST; the "
-        "last both-backend family anchors the tracked speedup, and the "
-        "extension rows are direct-only paper-scale instances (≥ 10x "
-        "the simulated E9 grid) validated against Kruskal.",
-    )
-
-
-# ----------------------------------------------------------------------
-# E18 — instance throughput: array-native pipeline + cache vs reference
-# ----------------------------------------------------------------------
-
-
 def instance_families(scale: str) -> List[Tuple[str, InstanceSpec]]:
     """Benchmark families for the instance pipeline, small→large.
 
     Each entry is ``(name, spec)``; E18 builds the full (topology,
     BFS tree, partition) triple through both construction pipelines.
     Ordered by reference-pipeline cost; the last entry (largest grid,
-    with unique weights attached) anchors the headline speedup in
-    ``BENCH_instances.json``.  Every family has a reference twin
+    with unique weights attached) anchors the row's speedup.  Every
+    family has a reference twin
     (``fast=False`` generators), so the run doubles as a differential
     audit at benchmark scale.
     """
@@ -1686,138 +1126,52 @@ def instance_families(scale: str) -> List[Tuple[str, InstanceSpec]]:
     ]
 
 
-# How often one instance is rebuilt across an experiment grid: the eXX
-# runners hydrate each pool instance from several experiments (and every
-# worker process re-ships it per task without the cache), so 3 rebuilds
-# per process is a conservative lower bound.
-E18_GRID_REPS = 3
+def batch_grid(scale: str) -> List[InstanceSpec]:
+    """The E21 instance grid: one same-family seed sweep.
 
-
-def _audit_instance_equality(name, fast, reference) -> None:
-    """Raise unless the two pipelines built ``==``-identical structures."""
-    ft, rt = fast.topology, reference.topology
-    diverged = []
-    if ft.n != rt.n or ft.edges != rt.edges:
-        diverged.append("edges")
-    elif any(ft.neighbors(v) != rt.neighbors(v) for v in range(ft.n)):
-        diverged.append("adjacency")
-    if ft.is_weighted != rt.is_weighted or (
-        ft.is_weighted
-        and any(ft.weight(u, v) != rt.weight(u, v) for u, v in rt.edges)
-    ):
-        diverged.append("weights")
-    if (
-        fast.tree.root != reference.tree.root
-        or [fast.tree.parent(v) for v in range(ft.n)]
-        != [reference.tree.parent(v) for v in range(rt.n)]
-    ):
-        diverged.append("tree parents")
-    if (fast.partition is None) != (reference.partition is None) or (
-        fast.partition is not None
-        and fast.partition.labels != reference.partition.labels
-    ):
-        diverged.append("partition labels")
-    if diverged:
-        raise AssertionError(
-            f"instance pipelines disagree on {name}: {', '.join(diverged)}"
-        )
-
-
-def run_e18(scale: str = "small", repeats: int = 3) -> ExperimentResult:
-    """Throughput of instance construction on both pipelines.
-
-    The **reference** pipeline is what every grid cell paid before the
-    array-native fast paths: the validating ``Topology`` constructor,
-    ``SpanningTree.bfs`` plus ``tree_arrays``, ``adjacency_csr`` built
-    from the finished topology, and the list-of-parts ``Partition``.
-    The **fast** pipeline is one :func:`hydrate` call — array-emitting
-    generators, pre-seeded CSR, CSR BFS tree with cached
-    ``TreeArrays``, dense-label partitions — measured both cold (empty
-    cache) and cached.  The end-to-end speedup models one experiment
-    grid re-using each instance ``E18_GRID_REPS`` times, the pattern
-    the per-process cache serves.  Structures from the two pipelines
-    are audited ``==``-identical on every family (the full suite lives
-    in ``tests/graphs/test_fastpath_equivalence.py``).  The ``data``
-    dict carries the ``BENCH_instances.json`` payload; see
-    ``benchmarks/conftest.py`` for the schema.
+    Paper scale is 128 grids of side 12 with 8-part voronoi partitions
+    — the production shape ROADMAP item 5 targets (a parameter sweep of
+    similar mid-size instances, where amortizing *across* instances
+    pays); small scale keeps CI in fractions of a second.
     """
-    from repro.graphs.csr import adjacency_csr, tree_arrays
+    count, side = (128, 12) if scale == "paper" else (24, 8)
+    return [
+        InstanceSpec("grid", (side, side), partition=("voronoi", 8, 3 + index))
+        for index in range(count)
+    ]
 
-    table = Table(
-        "E18: instance-pipeline throughput (best-of-%d wall time)" % repeats,
-        ["family", "n", "m", "N", "ref s", "cold s", "cached s", "cold x", "e2e x"],
-    )
-    families = []
-    speedups = []
-    for name, spec in instance_families(scale):
-        reference = None
-        ref_best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            reference = reference_instance(spec)
-            adjacency_csr(reference.topology)
-            tree_arrays(reference.tree)
-            _labels = reference.partition.labels
-            ref_best = min(ref_best, time.perf_counter() - start)
-        cold_best = math.inf
-        for _ in range(repeats):
-            clear_instance_cache()
-            start = time.perf_counter()
-            hydrate(spec)
-            cold_best = min(cold_best, time.perf_counter() - start)
-        fast = hydrate(spec)  # warm (cache already holds the last build)
-        cached_best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            hydrate(spec)
-            cached_best = min(cached_best, time.perf_counter() - start)
-        _audit_instance_equality(name, fast, reference)
-        cold_speedup = ref_best / cold_best if cold_best > 0 else math.inf
-        fast_total = cold_best + (E18_GRID_REPS - 1) * cached_best
-        speedup = (
-            E18_GRID_REPS * ref_best / fast_total if fast_total > 0 else math.inf
+
+def e22_grid(scale: str) -> List[InstanceSpec]:
+    """The E22 ladder grid: a mixed-family seed sweep.
+
+    Unlike E21's fixed-``(c, b)`` pipeline, the doubling ladder climbs
+    a different number of rungs per instance, so the grid deliberately
+    mixes families and partition seeds — ragged rung counts are what
+    the ladder's active-set compaction exploits.
+    """
+    if scale == "paper":
+        count, side = 16, 24
+    else:
+        count, side = 6, 8
+    specs: List[InstanceSpec] = []
+    for index in range(count):
+        specs.append(
+            InstanceSpec(
+                "grid", (side, side), partition=("voronoi", 8, 3 + index)
+            )
         )
-        speedups.append(speedup)
-        topology = fast.topology
-        families.append(
-            {
-                "family": name,
-                "n": topology.n,
-                "m": topology.m,
-                "parts": fast.partition.size,
-                "reference": {"wall_s": ref_best},
-                "fast": {
-                    "cold_wall_s": cold_best,
-                    "cached_wall_s": cached_best,
-                },
-                "cold_speedup": cold_speedup,
-                "speedup": speedup,
-            }
+        specs.append(
+            InstanceSpec(
+                "torus", (side, side), partition=("voronoi", 8, 5 + index)
+            )
         )
-        table.add_row(
-            name, topology.n, topology.m, fast.partition.size,
-            round(ref_best, 5), round(cold_best, 5), round(cached_best, 6),
-            round(cold_speedup, 2), round(speedup, 2),
+        specs.append(
+            InstanceSpec(
+                "hub", (12 * side, 8),
+                partition=("voronoi", 8, 7 + index),
+            )
         )
-    return ExperimentResult(
-        "E18",
-        "the array-native instance pipeline outpaces the reference constructors",
-        table,
-        data={
-            "schema": "repro.bench_instances.v1",
-            "scale": scale,
-            "grid_reps": E18_GRID_REPS,
-            "families": families,
-            "speedups": speedups,
-            "largest_scale_speedup": speedups[-1],
-            "cache": instance_cache_info(),
-        },
-        notes="The e2e column models one experiment grid re-using each "
-        "instance %d times per process (cold build + cache hits) "
-        "against %d reference rebuilds; the cold column isolates the "
-        "array-native constructors.  The last family (largest grid, "
-        "unique weights) anchors the tracked speedup." % (E18_GRID_REPS, E18_GRID_REPS),
-    )
+    return specs
 
 
 # ----------------------------------------------------------------------
@@ -2360,332 +1714,6 @@ def run_e20(scale: str = "small") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# E21 — batch kernels: whole-grid throughput, vector vs per-instance loop
-# ----------------------------------------------------------------------
-
-
-def batch_grid(scale: str) -> List[InstanceSpec]:
-    """The E21 instance grid: one same-family seed sweep.
-
-    Paper scale is 128 grids of side 12 with 8-part voronoi partitions
-    — the production shape ROADMAP item 5 targets (a parameter sweep of
-    similar mid-size instances, where amortizing *across* instances
-    pays); small scale keeps CI in fractions of a second.
-    """
-    count, side = (128, 12) if scale == "paper" else (24, 8)
-    return [
-        InstanceSpec("grid", (side, side), partition=("voronoi", 8, 3 + index))
-        for index in range(count)
-    ]
-
-
-def run_e21(scale: str = "small", repeats: int = 3) -> ExperimentResult:
-    """Batch-axis throughput of the fused pipeline over an instance grid.
-
-    Runs the whole :func:`batch_grid` sweep through
-    :func:`repro.core.batch.run_pipeline` — Algorithm 1 construction,
-    quality measurement, and verification counts per instance — once
-    per batch strategy: ``"loop"`` (the per-instance fast kernels) and
-    ``"vector"`` (the numpy batch kernels over one packed
-    :class:`~repro.graphs.batch_csr.BatchCSR`).  Both must return
-    ``==``-identical :class:`~repro.core.batch.PipelineResult` lists;
-    the run raises on divergence.  The ``data`` dict carries the
-    ``BENCH_batch.json`` payload; see ``benchmarks/conftest.py`` for
-    the schema.  The benchmark gate requires the vector strategy at
-    least 3x the loop at paper-scale grid size.
-
-    Without numpy (the ``fast-math`` extra) only the loop row runs and
-    the speedup is ``None``.
-    """
-    specs = batch_grid(scale)
-    instances = [hydrate(spec) for spec in specs]
-    topologies = [instance.topology for instance in instances]
-    trees = [instance.tree for instance in instances]
-    partitions = [instance.partition for instance in instances]
-    count = len(specs)
-    c, b_limit = 3, 3
-
-    strategies = [
-        strategy
-        for strategy in BATCH_STRATEGIES
-        if strategy != "vector" or batch_numpy_available()
-    ]
-    walls: Dict[str, float] = {}
-    outputs = {}
-    for strategy in strategies:
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            results = run_pipeline(
-                topologies, trees, partitions, c, [b_limit] * count,
-                batch=strategy,
-            )
-            best = min(best, time.perf_counter() - start)
-        walls[strategy] = best
-        outputs[strategy] = results
-    if "vector" in outputs and outputs["vector"] != outputs["loop"]:
-        diverged = [
-            index
-            for index in range(count)
-            if outputs["vector"][index] != outputs["loop"][index]
-        ]
-        raise AssertionError(
-            f"batch strategies disagree on grid instances {diverged}: "
-            f"vector={outputs['vector'][diverged[0]]!r} but "
-            f"loop={outputs['loop'][diverged[0]]!r}"
-        )
-    speedup = (
-        walls["loop"] / walls["vector"] if "vector" in walls else None
-    )
-
-    reference = outputs["loop"]
-    table = Table(
-        "E21: batch-kernel grid throughput (best-of-%d wall time)" % repeats,
-        ["batch", "instances", "n/inst", "parts/inst", "wall s",
-         "inst/s", "speedup"],
-    )
-    rows = {}
-    for strategy in strategies:
-        wall = walls[strategy]
-        rows[strategy] = {
-            "wall_s": wall,
-            "instances_per_s": count / wall if wall > 0 else math.inf,
-        }
-        table.add_row(
-            strategy,
-            count,
-            topologies[0].n,
-            partitions[0].size,
-            round(wall, 4),
-            round(count / wall, 1),
-            "-" if strategy == "loop" else round(speedup, 2),
-        )
-    return ExperimentResult(
-        "E21",
-        "vectorized batch kernels amortize the fast stack across whole instance grids",
-        table,
-        data={
-            "schema": "repro.bench_batch.v1",
-            "scale": scale,
-            "strategies": list(strategies),
-            "grid": {
-                "family": "grid/voronoi",
-                "instances": count,
-                "side": specs[0].params[0],
-                "n": topologies[0].n,
-                "m": topologies[0].m,
-                "parts": partitions[0].size,
-                "c": c,
-                "b_limit": b_limit,
-            },
-            "results": rows,
-            "max_congestion": max(
-                result.report.congestion for result in reference
-            ),
-            "max_dilation": max(
-                result.report.dilation for result in reference
-            ),
-            "speedup": speedup,
-        },
-        notes="One fused construct → measure → verify pass over the "
-        "whole grid per strategy; vector packs every instance into one "
-        "BatchCSR and never materializes per-instance shortcut "
-        "objects.  The loop/vector outputs are asserted ==-identical "
-        "inside the runner (the differential suite lives in "
-        "tests/core/test_batch_equivalence.py).",
-    )
-
-
-# ----------------------------------------------------------------------
-# E22 — batched doubling ladder: whole-grid construction, vector vs loop
-# ----------------------------------------------------------------------
-
-
-def e22_grid(scale: str) -> List[InstanceSpec]:
-    """The E22 ladder grid: a mixed-family seed sweep.
-
-    Unlike E21's fixed-``(c, b)`` pipeline, the doubling ladder climbs
-    a different number of rungs per instance, so the grid deliberately
-    mixes families and partition seeds — ragged rung counts are what
-    the ladder's active-set compaction exploits.
-    """
-    if scale == "paper":
-        count, side = 16, 24
-    else:
-        count, side = 6, 8
-    specs: List[InstanceSpec] = []
-    for index in range(count):
-        specs.append(
-            InstanceSpec(
-                "grid", (side, side), partition=("voronoi", 8, 3 + index)
-            )
-        )
-        specs.append(
-            InstanceSpec(
-                "torus", (side, side), partition=("voronoi", 8, 5 + index)
-            )
-        )
-        specs.append(
-            InstanceSpec(
-                "hub", (12 * side, 8),
-                partition=("voronoi", 8, 7 + index),
-            )
-        )
-    return specs
-
-
-def _e22_equal(loop_outcome, vector_outcome) -> bool:
-    """Bit-for-bit equality of two DoublingResults (trials including
-    the per-rung ledger-delta breakdown, endpoints, histories, edge
-    maps, and full ledgers)."""
-    return (
-        loop_outcome.trials == vector_outcome.trials
-        and loop_outcome.c == vector_outcome.c
-        and loop_outcome.b == vector_outcome.b
-        and loop_outcome.result.iterations == vector_outcome.result.iterations
-        and loop_outcome.result.good_history
-        == vector_outcome.result.good_history
-        and loop_outcome.result.shortcut.subgraphs
-        == vector_outcome.result.shortcut.subgraphs
-        and loop_outcome.ledger == vector_outcome.ledger
-    )
-
-
-def run_e22(scale: str = "small", repeats: int = 3) -> ExperimentResult:
-    """Batched doubling-ladder throughput over an instance grid.
-
-    Runs the whole :func:`e22_grid` sweep through
-    :func:`repro.core.batch.find_shortcut_doubling_batch` once per
-    batch strategy: ``"loop"`` (the per-instance Appendix A search in
-    ``mode="direct"``) and ``"vector"`` (the lockstep ladder over one
-    packed :class:`~repro.graphs.batch_csr.BatchCSR`, instances
-    dropping off their rung as they succeed).  Both must return
-    bit-identical outcomes — trials including the satellite per-rung
-    ``rounds``/``messages`` breakdown, good histories, edge maps, and
-    ledgers; the run raises on divergence.  The ``data`` dict carries
-    the ``BENCH_batch_construct.json`` payload; see
-    ``benchmarks/conftest.py`` for the schema.  The benchmark gate
-    requires the vector ladder at least 3x the loop at paper scale.
-
-    Without numpy (the ``fast-math`` extra) only the loop row runs and
-    the speedup is ``None``.
-    """
-    specs = e22_grid(scale)
-    instances = [hydrate(spec) for spec in specs]
-    topologies = [instance.topology for instance in instances]
-    trees = [instance.tree for instance in instances]
-    partitions = [instance.partition for instance in instances]
-    count = len(specs)
-    seeds = [mix(22, index) for index in range(count)]
-
-    strategies = [
-        strategy
-        for strategy in BATCH_STRATEGIES
-        if strategy != "vector" or batch_numpy_available()
-    ]
-    walls: Dict[str, float] = {}
-    outputs = {}
-    for strategy in strategies:
-        best = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            results = find_shortcut_doubling_batch(
-                topologies, trees, partitions,
-                seeds=seeds, mode="direct", batch=strategy,
-            )
-            best = min(best, time.perf_counter() - start)
-        walls[strategy] = best
-        outputs[strategy] = results
-    if "vector" in outputs:
-        diverged = [
-            index
-            for index in range(count)
-            if not _e22_equal(outputs["loop"][index], outputs["vector"][index])
-        ]
-        if diverged:
-            raise AssertionError(
-                f"ladder strategies disagree on instances {diverged}: "
-                f"loop trials "
-                f"{outputs['loop'][diverged[0]].trials!r} but vector "
-                f"{outputs['vector'][diverged[0]].trials!r}"
-            )
-    speedup = walls["loop"] / walls["vector"] if "vector" in walls else None
-
-    reference = outputs["loop"]
-    # Per-rung cost breakdown from the satellite Trial fields: how many
-    # instances climbed to each rung and what each rung charged.
-    rungs: Dict[int, Dict[str, int]] = {}
-    for outcome in reference:
-        for rung_index, trial in enumerate(outcome.trials):
-            entry = rungs.setdefault(
-                rung_index,
-                {"instances": 0, "succeeded": 0, "rounds": 0, "messages": 0},
-            )
-            entry["instances"] += 1
-            entry["succeeded"] += int(trial.succeeded)
-            entry["rounds"] += trial.rounds
-            entry["messages"] += trial.messages
-    max_rungs = max(len(outcome.trials) for outcome in reference)
-
-    table = Table(
-        "E22: batched doubling-ladder throughput (best-of-%d wall time)"
-        % repeats,
-        ["batch", "instances", "max rungs", "wall s", "inst/s", "speedup"],
-    )
-    rows = {}
-    for strategy in strategies:
-        wall = walls[strategy]
-        rows[strategy] = {
-            "wall_s": wall,
-            "instances_per_s": count / wall if wall > 0 else math.inf,
-        }
-        table.add_row(
-            strategy,
-            count,
-            max_rungs,
-            round(wall, 4),
-            round(count / wall, 1),
-            "-" if strategy == "loop" else round(speedup, 2),
-        )
-    return ExperimentResult(
-        "E22",
-        "the doubling-construction ladder vectorizes across whole instance grids",
-        table,
-        data={
-            "schema": "repro.bench_batch_construct.v1",
-            "scale": scale,
-            "strategies": list(strategies),
-            "grid": {
-                "family": "grid+torus+hub",
-                "instances": count,
-                "n_total": sum(topology.n for topology in topologies),
-                "m_total": sum(topology.m for topology in topologies),
-                "parts_total": sum(
-                    partition.size for partition in partitions
-                ),
-            },
-            "results": rows,
-            "max_rungs": max_rungs,
-            "rungs": {
-                str(rung_index): entry
-                for rung_index, entry in sorted(rungs.items())
-            },
-            "total_rounds": sum(
-                outcome.ledger.total_rounds for outcome in reference
-            ),
-            "speedup": speedup,
-        },
-        notes="One whole-grid doubling search per strategy; vector "
-        "climbs every instance's (c, b) ladder in lockstep rungs, "
-        "compacting finished instances out of the batch, and inside "
-        "each rung the wave driver compacts per iteration.  The "
-        "loop/vector outcomes are asserted bit-identical inside the "
-        "runner — trials carry the per-rung rounds/messages breakdown, "
-        "so the rung table is the same for both strategies.",
-    )
-
-
-# ----------------------------------------------------------------------
 # E23 — unreliable networks: reliable-sublayer overhead and recovery
 # ----------------------------------------------------------------------
 
@@ -2862,6 +1890,15 @@ def run_e23(scale: str = "small") -> ExperimentResult:
     )
 
 
+def _run_twins(
+    experiment: str, scale: str = "small", repeats: Optional[int] = None
+) -> ExperimentResult:
+    """Run one twin-throughput experiment's rows of :mod:`repro.bench`."""
+    from repro.bench import run_twins  # repro.bench imports this module
+
+    return run_twins(experiment, scale, repeats)
+
+
 ALL_EXPERIMENTS: Dict[str, Callable[[str], ExperimentResult]] = {
     "E1": run_e01,
     "E2": run_e02,
@@ -2876,15 +1913,15 @@ ALL_EXPERIMENTS: Dict[str, Callable[[str], ExperimentResult]] = {
     "E11": run_e11,
     "E12": run_e12,
     "E13": run_e13,
-    "E14": run_e14,
-    "E15": run_e15,
-    "E16": run_e16,
-    "E17": run_e17,
-    "E18": run_e18,
+    "E14": partial(_run_twins, "E14"),
+    "E15": partial(_run_twins, "E15"),
+    "E16": partial(_run_twins, "E16"),
+    "E17": partial(_run_twins, "E17"),
+    "E18": partial(_run_twins, "E18"),
     "E19": run_e19,
     "E20": run_e20,
-    "E21": run_e21,
-    "E22": run_e22,
+    "E21": partial(_run_twins, "E21"),
+    "E22": partial(_run_twins, "E22"),
     "E23": run_e23,
 }
 

@@ -5,7 +5,7 @@ Usage::
     python -m repro.analysis.report [small|paper] [output-path]
 
 Runs every experiment E1–E23 and writes the paper-claim-vs-measured
-record.  The same tables print during ``pytest benchmarks/``.  Set
+record.  The same tables print during ``pytest benchmarks/bench_*.py``.  Set
 ``REPRO_JOBS`` to fan the parallel-friendly runners out over worker
 processes (the output is identical at any worker count).
 """
@@ -31,7 +31,7 @@ HEADER = """\
 # EXPERIMENTS — paper claims vs. measurements
 
 Regenerate with ``python -m repro.analysis.report {scale}`` or inspect
-individual tables via ``pytest benchmarks/ --benchmark-only``.
+individual tables via ``pytest benchmarks/bench_*.py --benchmark-only``.
 
 The paper ("Low-Congestion Shortcuts without Embedding", PODC 2016) is
 a theory paper: it has no measured tables, and its only figure is an
@@ -40,22 +40,20 @@ quantitative content is the set of theorems and lemmas below; each
 experiment regenerates one of them on the CONGEST simulator and reports
 the measured quantity against the claimed bound.  The experiment index
 lives in ``repro.analysis.experiments`` (one ``run_eXX`` per claim,
-wrapped by ``benchmarks/bench_eXX_*.py``); E14–E18 track the
-simulator-engine, quality-kernel, construction-kernel,
-application-backend, and instance-pipeline throughput rather than a
-paper claim, E19 stresses the framework under edge failures
-(degradation of survivors, incremental repair vs full rebuild), and
-E20 exercises the fault-tolerant shortcut service (persistent-store
-warm path, recovery after corruption, seeded chaos storm), E21
-tracks whole-grid batch-kernel throughput (the ``batch="vector"``
-strategy vs the per-instance loop over one paper-scale grid), and E22
-tracks the batched doubling-construction ladder (the whole ``(c, b)``
-climb vectorized across a mixed-family grid, bit-identical to the
-per-instance search; E19's sweep column times the same axis through
-the failure layer), and E23 measures the unreliable-network stack
-(the reliable-delivery sublayer's round overhead, message
-amplification, and recovery rate under seeded transport faults, plus
-crash-stop detection).
+wrapped by ``benchmarks/bench_eXX_*.py``).  E14–E18, E21 and E22 check
+no paper claim: they are the rows of ``repro.bench`` (wrapped by
+``benchmarks/bench_twins.py``, run alone with ``python -m repro.bench``),
+which time each fast twin — simulator engine, quality kernel,
+construction mode, application backend, instance pipeline, batch
+kernels, batched doubling ladder — against its reference twin and
+re-check ``==`` between their outputs.  E19 stresses the framework
+under edge failures (degradation of survivors, incremental repair vs
+full rebuild), E20 exercises the fault-tolerant shortcut service
+(persistent-store warm path, recovery after corruption, seeded chaos
+storm), and E23 measures the unreliable-network stack (the
+reliable-delivery sublayer's round overhead, message amplification,
+and recovery rate under seeded transport faults, plus crash-stop
+detection).
 
 **Summary of reproduction status** (scale = ``{scale}``): every bound
 holds on every instance tested; the w.h.p. guarantees hold on every

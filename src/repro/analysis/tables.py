@@ -6,7 +6,8 @@ Every benchmark prints its results in paper-style rows through
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Sequence
 
 
 class Table:
@@ -40,6 +41,23 @@ class Table:
 
     def __str__(self) -> str:
         return self.render()
+
+
+@dataclass
+class ExperimentResult:
+    """One regenerated table plus machine-checkable data."""
+
+    experiment: str
+    claim: str
+    table: Table
+    data: Dict = field(default_factory=dict)
+    notes: str = ""
+
+    def render(self) -> str:
+        lines = [f"## {self.experiment}: {self.claim}", "", str(self.table)]
+        if self.notes:
+            lines += ["", self.notes]
+        return "\n".join(lines)
 
 
 def _fmt(value: Any) -> str:

@@ -12,7 +12,7 @@ engine paths rather than computing anything paper-related:
 * :class:`TokenWalkAlgorithm` — a seeded pseudo-random token walk
   (per-node RNG determinism across engines).
 
-``benchmarks/bench_e14_engine.py`` times them on both engines, and the
+The E14 row of :mod:`repro.bench` times them on both engines, and the
 differential suites replay them to assert engine equivalence.
 """
 

@@ -100,6 +100,10 @@ from repro.service.store import PersistentStore, canonical_json, spec_key
 API_VERSION = "v1"
 DEFAULT_DEADLINE_S = 30.0
 DEFAULT_RETRY_AFTER_S = 0.05
+# How often the listener thread checks for shutdown between requests.
+# serve_forever's default (0.5 s) made every ServiceHandle.close() wait
+# up to half a second; requests wake the selector at once either way.
+SHUTDOWN_POLL_S = 0.02
 
 
 class BadRequest(ReproError):
@@ -965,7 +969,10 @@ def serve(
     handler = type("BoundHandler", (_Handler,), {"service": service})
     server = _HTTPServer((host, port), handler)
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-svc-http", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": SHUTDOWN_POLL_S},
+        name="repro-svc-http",
+        daemon=True,
     )
     thread.start()
     return ServiceHandle(
