@@ -46,7 +46,13 @@ The vectorized twins cover the hottest per-instance kernels:
   the per-part union-finds of
   :func:`repro.core.construct_fast.verification_counts_direct` become
   pointer jumping (blocks) plus min-label propagation (communication
-  components) over the member subspace.
+  components) over the member subspace.  One verdict reduction
+  (:func:`_verdict_counts`) serves both callers: a packed shortcut
+  keys blocks by clone roots, while the doubling ladder keys them by
+  the node forest of its flood (:func:`_forest_counts`) and never
+  packs its tentative shortcuts.  The part-internal components never
+  change between shortcuts, so they are built once per
+  :class:`~repro.graphs.batch_csr.BatchCSR`.
 
 Equivalence contract
 --------------------
@@ -94,8 +100,10 @@ from repro.graphs.batch_csr import (
     BatchCSR,
     ShortcutPack,
     bounded_diameter_batch,
+    merge_components,
     numpy_available,
     pointer_jump,
+    popcount_rows,
     require_numpy,
     segment_max,
     segment_min,
@@ -337,73 +345,63 @@ def verification_counts_batch(
     """Per-instance verification count maps — batch twin of
     :func:`repro.core.construct_fast.verification_counts_direct`.
 
-    Blocks root by pointer jumping; communication components come from
-    min-label propagation over part-internal edges plus co-block member
-    links.  The per-part reduction replicates the reference exactly,
-    including the rare several-distinct-verdicts case, where the same
-    Python set is rebuilt in the same member order so that ``set.pop``
-    returns the identical element.
+    Blocks root by pointer jumping over the clone table; the verdict
+    reduction is :func:`_verdict_counts`, shared with the ladder.
     """
     np = require_numpy()
-    batch = pack.batch
-    if len(b_limits) != batch.size:
+    if len(b_limits) != pack.batch.size:
         raise ShortcutError(
-            f"expected {batch.size} b_limits, got {len(b_limits)}"
+            f"expected {pack.batch.size} b_limits, got {len(b_limits)}"
         )
-    limits = np.asarray([int(limit) for limit in b_limits], dtype=np.int64)
-    member_count = len(pack.member_node)
-
     roots = _block_root_pointer(np, pack)[pack.member_clone]
+    return _verdict_counts(np, pack.batch, roots, b_limits)
 
-    # Member-subspace index of every covered node.
-    inverse = pack.member_inverse()
 
-    owner_u = batch.labels[batch.edge_u]
-    both = (owner_u >= 0) & (owner_u == batch.labels[batch.edge_v])
-    edge_a = inverse[batch.edge_u[both]]
-    edge_b = inverse[batch.edge_v[both]]
+def _verdict_counts(
+    np, batch: BatchCSR, block_key, b_limits: Sequence[int]
+) -> List[Dict[int, Optional[int]]]:
+    """The Lemma 3 verdict reduction over the batch's member table.
+
+    ``block_key`` names each member's block (members in
+    :meth:`BatchCSR.member_table` order); keys must differ between
+    parts.  Communication components are the cached part-internal
+    components merged along co-block member links; each component's
+    block count is its number of distinct keys, withheld above the
+    instance's limit.  The per-part reduction replicates the reference
+    exactly, including the rare several-distinct-verdicts case, where
+    the same Python set is rebuilt in the same member order so that
+    ``set.pop`` returns the identical element.
+    """
+    limits = np.asarray([int(limit) for limit in b_limits], dtype=np.int64)
+    member_node, member_part, member_starts, _inverse = batch.member_table()
+    member_count = len(member_node)
+    component = batch.member_components()
     if member_count:
-        # Co-block links: all members sharing a block root join the
+        # Co-block links: all members sharing a block key join the
         # group's first member (any representative yields the same
         # components, as in the reference's block_rep linking).
-        order = np.argsort(roots, kind="stable")
-        sorted_roots = roots[order]
+        order = np.argsort(block_key, kind="stable")
+        sorted_key = block_key[order]
         new_group = np.empty(member_count, dtype=bool)
         new_group[0] = True
-        new_group[1:] = sorted_roots[1:] != sorted_roots[:-1]
-        group_of = np.cumsum(new_group) - 1
-        representative = order[np.flatnonzero(new_group)][group_of]
+        new_group[1:] = sorted_key[1:] != sorted_key[:-1]
+        heads = order[new_group]
+        representative = heads[np.cumsum(new_group) - 1]
         linked = representative != order
-        edge_a = np.concatenate([edge_a, representative[linked]])
-        edge_b = np.concatenate([edge_b, order[linked]])
-
-    # Connected components: min-label propagation + pointer doubling.
-    component = np.arange(member_count, dtype=np.int64)
-    if edge_a.size:
-        while True:
-            before = component.copy()
-            low = np.minimum(component[edge_a], component[edge_b])
-            np.minimum.at(component, edge_a, low)
-            np.minimum.at(component, edge_b, low)
-            component = pointer_jump(np, component)
-            if np.array_equal(component, before):
-                break
-
-    # Distinct blocks per component: unique (component, block root)
-    # pairs, counted at the component's label.
-    if member_count:
-        clone_count = max(len(pack.clone_part), 1)
-        pairs = np.unique(component * clone_count + roots)
-        blocks_of_component = np.bincount(
-            pairs // clone_count, minlength=member_count
+        component = merge_components(
+            np, component, representative[linked], order[linked]
         )
-        count = blocks_of_component[component]
+        # A block lies inside one component, so a component's distinct
+        # blocks are the group heads it holds.
+        count = np.bincount(component[heads], minlength=member_count)[
+            component
+        ]
     else:
         count = component
-    member_limit = limits[batch.instance_of_part[pack.member_part]]
+    member_limit = limits[batch.instance_of_part[member_part]]
     verdict = np.where(count <= member_limit, count, -1)
-    verdict_min = segment_min(np, verdict, pack.member_starts, empty=0)
-    verdict_max = segment_max(np, verdict, pack.member_starts, empty=0)
+    verdict_min = segment_min(np, verdict, member_starts, empty=0)
+    verdict_max = segment_max(np, verdict, member_starts, empty=0)
 
     results: List[Dict[int, Optional[int]]] = []
     for b in range(batch.size):
@@ -423,18 +421,41 @@ def verification_counts_batch(
                 # Several components with distinct <= b_limit counts:
                 # rebuild the reference's verdict set in the same
                 # member-frozenset order so .pop() matches bit-for-bit.
-                s0 = int(pack.member_starts[part])
-                s1 = int(pack.member_starts[part + 1])
+                s0 = int(member_starts[part])
+                s1 = int(member_starts[part + 1])
                 verdict_of = {
                     int(node) - n0: int(value)
-                    for node, value in zip(
-                        pack.member_node[s0:s1], verdict[s0:s1]
-                    )
+                    for node, value in zip(member_node[s0:s1], verdict[s0:s1])
                 }
                 members = batch.partitions[b].members(local)
                 per_part[local] = {verdict_of[v] for v in members}.pop()
         results.append(per_part)
     return results
+
+
+def _forest_counts(
+    np, batch: BatchCSR, usable, remaining, b_limits: Sequence[int]
+) -> List[Dict[int, Optional[int]]]:
+    """Verification count maps of one ladder iteration's tentative
+    shortcut, straight from its node forest.
+
+    In both constructions an id travels up the BFS tree from each
+    member of a remaining part through every node that may use its
+    parent edge (``usable``) and stops at the first that may not: the
+    Phase B flood forwards every id it receives, and the Algorithm 1
+    sweep keeps every id below its cap.  So the part's slots are the
+    chains from its members to those stops, and a member's block
+    (component of ``(V, H_i)``) is named by its first unusable
+    ancestor-or-self — one forest for all parts, rooted by one pointer
+    jump.  Parts outside ``remaining`` (a per-global-part mask) inject
+    nothing and get no slots, so their members stay their own blocks.
+    """
+    n = batch.n_total
+    nodes = np.arange(n, dtype=np.int64)
+    top = pointer_jump(np, np.where(usable, batch.tree_parent, nodes))
+    member_node, member_part, _starts, _inverse = batch.member_table()
+    block = np.where(remaining[member_part], top[member_node], member_node)
+    return _verdict_counts(np, batch, member_part * n + block, b_limits)
 
 
 def verification_batch(
@@ -831,28 +852,37 @@ def _flood_up_batch(np, batch: BatchCSR, own, usable):
     return seen, rounds, messages
 
 
-def _entries_from_seen(np, batch: BatchCSR, seen, usable):
-    """Usable ``(node, id)`` pairs from flood bitsets.
+def _good_flood_slots(np, batch: BatchCSR, seen, usable, good):
+    """The ``(node, global id)`` edge slots of the good parts only.
 
-    Unpacks the ``q_ids`` bitsets of the usable nodes into the flat
-    edge-slot arrays the sweep kernels produce: pairs grouped by node
-    (rows ascending), ids ascending inside each group, ids global.
-    Bit positions map to little-endian byte views, matching every
-    platform this stack runs on.
+    ``good`` flags global part ids; their local bits are masked out of
+    the usable nodes' flood bitsets before unpacking, so only the slots
+    that freeze into the accumulators are ever materialized.  Bit
+    positions map to little-endian byte views, matching every platform
+    this stack runs on.
     """
-    rows = np.flatnonzero(usable & seen.any(axis=1))
-    empty = np.empty(0, dtype=np.int64)
-    if not rows.size:
-        return empty, empty
-    bits = np.unpackbits(
-        seen[rows].view(np.uint8), axis=1, bitorder="little"
+    words = seen.shape[1]
+    parts = np.flatnonzero(good[: batch.p_total])
+    local = parts - batch.part_offsets[batch.instance_of_part[parts]]
+    good_bits = np.zeros(batch.size * words, dtype=np.uint64)
+    np.bitwise_or.at(
+        good_bits,
+        batch.instance_of_part[parts] * words + (local >> 6),
+        np.left_shift(np.uint64(1), (local & 63).astype(np.uint64)),
     )
-    node_index, local_id = np.nonzero(bits)
-    entry_nodes = rows[node_index]
-    entry_ids = local_id.astype(np.int64) + batch.part_offsets[
-        batch.instance_of_node[entry_nodes]
+    rows = np.flatnonzero(usable)
+    picked = seen[rows] & good_bits.reshape(batch.size, words)[
+        batch.instance_of_node[rows]
     ]
-    return entry_nodes, entry_ids
+    hit = picked.any(axis=1)
+    rows, picked = rows[hit], picked[hit]
+    bits = np.unpackbits(picked.view(np.uint8), axis=1, bitorder="little")
+    node_index, local_id = np.nonzero(bits)
+    nodes = rows[node_index]
+    ids = local_id.astype(np.int64) + batch.part_offsets[
+        batch.instance_of_node[nodes]
+    ]
+    return nodes, ids
 
 
 def _broadcast(size: int, values, default) -> List:
@@ -901,8 +931,21 @@ def _find_shortcut_wave(
     the :class:`~repro.errors.ConstructionFailedError` *value* (not
     raised) on budget exhaustion, both bit-identical to the loop.
 
+    Verification reads the tentative shortcut off the node forest
+    instead of building it.  CoreFast's Phase B floods every id of a
+    remaining part up the BFS tree until the first unusable edge
+    (Algorithm 2, steps 3–5), and CoreSlow's sweep likewise keeps every
+    id below its cap, so part ``i``'s slots are exactly the chains from
+    its members up to their first unusable ancestor-or-self, and that
+    node names the member's block (:func:`_forest_counts`).  The
+    Lemma 3 ledger terms need only per-node slot counts (flood bitset
+    popcounts), and only the good parts' bits are unpacked, into the
+    accumulators.
+
     ``instance_keys`` / ``pack_cache`` let the doubling driver reuse
-    sub-batch packs across rungs whose active set repeats.
+    sub-batch packs across rungs whose active set repeats; the member
+    table and part-internal components cached on each sub-batch
+    :class:`BatchCSR` ride along.
     """
     from repro.core.construct_fast import charge_verification_terms
     from repro.core.core_fast import active_parts, sampling_parameters
@@ -1038,17 +1081,19 @@ def _find_shortcut_wave(
             else None
         )
 
-        if use_fast:
-            _n, _i, _g, unusable_nodes, rounds_a, messages_a = (
-                _upward_sweep_batch(np, sub, own_active, caps)
+        entry_nodes, entry_ids, _g, unusable_nodes, rounds_a, messages_a = (
+            _upward_sweep_batch(
+                np, sub, own_active if use_fast else own_all, caps
             )
-            usable = sub.tree_parent >= 0
-            if unusable_nodes.size:
-                usable[unusable_nodes] = False
+        )
+        usable = sub.tree_parent >= 0
+        usable[unusable_nodes] = False
+        if use_fast:
             seen, rounds_b, messages_b = _flood_up_batch(
                 np, sub, own_all, usable
             )
-            entry_nodes, entry_ids = _entries_from_seen(np, sub, seen, usable)
+            # A usable node holds one edge slot per id it has seen.
+            per_node = np.where(usable, popcount_rows(np, seen), 0)
             for k, i in enumerate(active):
                 ledgers[i].charge_phase(
                     "core-fast/sample", int(rounds_a[k]), int(messages_a[k])
@@ -1057,31 +1102,21 @@ def _find_shortcut_wave(
                     "core-fast/flood", int(rounds_b[k]), int(messages_b[k])
                 )
         else:
-            entry_nodes, entry_ids, _g, _u, rounds_s, messages_s = (
-                _upward_sweep_batch(np, sub, own_all, caps)
-            )
+            per_node = np.bincount(entry_nodes, minlength=sub.n_total)
             for k, i in enumerate(active):
                 ledgers[i].charge_phase(
-                    "core-slow", int(rounds_s[k]), int(messages_s[k])
+                    "core-slow", int(rounds_a[k]), int(messages_a[k])
                 )
 
-        # Batched Verification over the tentative edge slots; the
-        # ledger charge uses the same Lemma 3 terms as the loop without
-        # materializing per-instance shortcut objects.
-        pack = ShortcutPack.from_arrays(
-            sub,
-            entry_ids,
-            entry_nodes,
-            sub.tree_parent[entry_nodes],
-            sub.tree_edge_ids()[entry_nodes],
-        )
+        # Batched Verification of the tentative shortcut, read off the
+        # node forest; the ledger charge uses the same Lemma 3 terms as
+        # the loop without materializing per-instance shortcut objects.
         limits3 = [3 * b_list[i] for i in active]
-        count_maps = verification_counts_batch(pack, limits3)
-        per_node = np.bincount(entry_nodes, minlength=sub.n_total)
+        count_maps = _forest_counts(np, sub, usable, rem_mask, limits3)
         task_congestion = segment_max(np, per_node, sub.node_offsets, empty=0)
         edge_slots = segment_sum(np, per_node, sub.node_offsets)
 
-        good_global = np.zeros(max(sub.p_total, 1), dtype=bool)
+        good_global = np.zeros(sub.p_total + 1, dtype=bool)
         for k, i in enumerate(active):
             charge_verification_terms(
                 ledgers[i],
@@ -1107,23 +1142,26 @@ def _find_shortcut_wave(
                 for p in good:
                     good_global[base + p] = True
                 remaining[i] -= good
+        if not good_global.any():
+            continue
 
         # Freeze the good parts' edge slots into the accumulators.
-        if entry_ids.size:
+        if use_fast:
+            g_nodes, g_ids = _good_flood_slots(
+                np, sub, seen, usable, good_global
+            )
+        else:
             mask = good_global[entry_ids]
-            g_nodes = entry_nodes[mask]
-            if g_nodes.size:
-                g_inst = sub.instance_of_node[g_nodes]
-                bases = sub.node_offsets[g_inst]
-                v_local = g_nodes - bases
-                p_local = sub.tree_parent[g_nodes] - bases
-                lo = np.minimum(v_local, p_local).tolist()
-                hi = np.maximum(v_local, p_local).tolist()
-                parts_local = (
-                    entry_ids[mask] - sub.part_offsets[g_inst]
-                ).tolist()
-                for idx, k in enumerate(g_inst.tolist()):
-                    acc[active[k]][parts_local[idx]].add((lo[idx], hi[idx]))
+            g_nodes, g_ids = entry_nodes[mask], entry_ids[mask]
+        g_inst = sub.instance_of_node[g_nodes]
+        bases = sub.node_offsets[g_inst]
+        v_local = g_nodes - bases
+        p_local = sub.tree_parent[g_nodes] - bases
+        lo = np.minimum(v_local, p_local).tolist()
+        hi = np.maximum(v_local, p_local).tolist()
+        parts_local = (g_ids - sub.part_offsets[g_inst]).tolist()
+        for idx, k in enumerate(g_inst.tolist()):
+            acc[active[k]][parts_local[idx]].add((lo[idx], hi[idx]))
 
 
 def find_shortcut_batch(

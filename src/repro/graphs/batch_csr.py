@@ -99,6 +99,12 @@ class BatchCSR:
         level grouping drives the batched Algorithm 1 sweep.
     topologies, trees, partitions:
         The packed source objects, for building per-instance outputs.
+
+    The member table (:meth:`member_table`), the part-internal
+    components (:meth:`member_components`) and the tree edge ids
+    (:meth:`tree_edge_ids`) depend only on the packed triples, so they
+    are built lazily once per batch and shared by every shortcut or
+    ladder iteration over it.
     """
 
     __slots__ = (
@@ -124,6 +130,8 @@ class BatchCSR:
         "trees",
         "partitions",
         "_tree_edge_id",
+        "_members",
+        "_member_components",
     )
 
     def __init__(
@@ -192,6 +200,8 @@ class BatchCSR:
             depth[self.depth_order], np.arange(self.max_depth + 2)
         )
         self._tree_edge_id = None
+        self._members = None
+        self._member_components = None
 
     def tree_edge_ids(self):
         """Global dense edge id of each node's parent tree edge (-1 at roots).
@@ -219,6 +229,58 @@ class BatchCSR:
             cached = np.full(self.n_total, -1, dtype=np.int64)
             cached[has] = order[pos]
             self._tree_edge_id = cached
+        return cached
+
+    def member_table(self):
+        """Covered nodes sorted by (part, node), built once per batch.
+
+        Returns ``(member_node, member_part, member_starts,
+        member_inverse)``: the global node, its global part, the
+        per-part offsets into the first two arrays (part ``p`` owns
+        ``[member_starts[p], member_starts[p + 1])``), and the
+        member-subspace index of every global node (``-1`` where
+        uncovered).
+        """
+        cached = self._members
+        if cached is None:
+            np = require_numpy()
+            covered = np.flatnonzero(self.labels >= 0)
+            cov_part = self.labels[covered]
+            order = np.lexsort((covered, cov_part))
+            member_node = covered[order]
+            member_part = cov_part[order]
+            member_starts = np.searchsorted(
+                member_part, np.arange(self.p_total + 1)
+            )
+            inverse = np.full(self.n_total, -1, dtype=np.int64)
+            inverse[member_node] = np.arange(len(member_node), dtype=np.int64)
+            cached = (member_node, member_part, member_starts, inverse)
+            self._members = cached
+        return cached
+
+    def member_components(self):
+        """Components of every part's ``G[P_i]``, over the member table.
+
+        Per member, the member-subspace index of the smallest member in
+        its component (min-label propagation plus pointer doubling over
+        the part-internal edges).  These edges never change between
+        shortcuts over the same batch; callers merge the components
+        further with their own block links and must not write to the
+        returned array.
+        """
+        cached = self._member_components
+        if cached is None:
+            np = require_numpy()
+            member_node, _part, _starts, inverse = self.member_table()
+            owner_u = self.labels[self.edge_u]
+            both = (owner_u >= 0) & (owner_u == self.labels[self.edge_v])
+            cached = merge_components(
+                np,
+                np.arange(len(member_node), dtype=np.int64),
+                inverse[self.edge_u[both]],
+                inverse[self.edge_v[both]],
+            )
+            self._member_components = cached
         return cached
 
 
@@ -278,8 +340,8 @@ class ShortcutPack:
         part's clone range.
     member_node, member_part, member_starts, member_clone:
         Covered nodes sorted by (part, node): the global node, its
-        part, the per-part offsets into these arrays, and each
-        member's clone id.
+        part, the per-part offsets into these arrays (all three shared
+        with :meth:`BatchCSR.member_table`), and each member's clone id.
     """
 
     __slots__ = (
@@ -300,21 +362,12 @@ class ShortcutPack:
         "member_part",
         "member_starts",
         "member_clone",
-        "_member_inverse",
         "_block_roots",
     )
 
     def member_inverse(self):
         """Member-subspace index of every covered global node (-1 else)."""
-        cached = self._member_inverse
-        if cached is None:
-            np = require_numpy()
-            cached = np.full(self.batch.n_total, -1, dtype=np.int64)
-            cached[self.member_node] = np.arange(
-                len(self.member_node), dtype=np.int64
-            )
-            self._member_inverse = cached
-        return cached
+        return self.batch.member_table()[3]
 
     def __init__(self, batch: BatchCSR, shortcuts: Sequence) -> None:
         np = require_numpy()
@@ -384,14 +437,9 @@ class ShortcutPack:
         """Derive the member and clone tables from the edge-slot arrays."""
         batch = self.batch
 
-        # --- members sorted by (part, node) ---
-        covered = np.flatnonzero(batch.labels >= 0)
-        cov_part = batch.labels[covered]
-        order = np.lexsort((covered, cov_part))
-        self.member_node = covered[order]
-        self.member_part = cov_part[order]
-        self.member_starts = np.searchsorted(
-            self.member_part, np.arange(batch.p_total + 1)
+        # --- members sorted by (part, node), shared with the batch ---
+        self.member_node, self.member_part, self.member_starts, _inverse = (
+            batch.member_table()
         )
 
         # --- clone table: (part, node) pairs keyed as part*stride+node ---
@@ -437,7 +485,6 @@ class ShortcutPack:
         self.h_parent_clone = np.searchsorted(
             clone_keys, self.h_part * stride + self.h_parent
         )
-        self._member_inverse = None
         self._block_roots = None
 
 
@@ -454,6 +501,34 @@ def pointer_jump(np, pointer):
         if np.array_equal(jumped, pointer):
             return pointer
         pointer = jumped
+
+
+def merge_components(np, component, edge_a, edge_b):
+    """Merge a component labelling along extra ``(edge_a, edge_b)`` links.
+
+    ``component`` maps each node to the smallest node of its component
+    (the identity labels every node alone) and is not modified.
+    Min-label propagation plus pointer doubling runs over the links
+    only, so merging a few links into a precomputed labelling costs a
+    few passes over the links, not over the original edges.  Returns
+    the merged labelling, again smallest-node-of-component.
+    """
+    edge_a = component[edge_a]
+    edge_b = component[edge_b]
+    cross = edge_a != edge_b
+    if not cross.any():
+        return component
+    edge_a = edge_a[cross]
+    edge_b = edge_b[cross]
+    component = component.copy()
+    while True:
+        before = component.copy()
+        low = np.minimum(component[edge_a], component[edge_b])
+        np.minimum.at(component, edge_a, low)
+        np.minimum.at(component, edge_b, low)
+        component = pointer_jump(np, component)
+        if np.array_equal(component, before):
+            return component
 
 
 def segment_max(np, values, offsets, *, empty: int = 0):
@@ -765,7 +840,7 @@ def _ell_slots(np, indptr, indices):
     return slots
 
 
-def _popcount_rows(np, words):
+def popcount_rows(np, words):
     """Per-row popcount of a 2-D uint64 bitset array."""
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
@@ -825,7 +900,7 @@ def _diameter_bits(np, indptr, indices, starts):
             bad = segment_min(np, ecc, starts, empty=0) < 0
             return np.where(bad, -1, segment_max(np, ecc, starts, empty=0))
         reach = grown
-        newly = ~done & (_popcount_rows(np, reach) == target)
+        newly = ~done & (popcount_rows(np, reach) == target)
         ecc[newly] = step
         done |= newly
     return segment_max(np, ecc, starts, empty=0)

@@ -38,11 +38,9 @@ Request lifecycle hardening
 * **Batched cold misses** — with ``batch_window_s > 0``, cold misses
   for the same batchable operation and instance family that arrive
   within the pending window are grouped; their constructions share
-  one vector-ladder call and their quality reports one
-  :func:`repro.core.batch.measure_batch` call.  Every grouped response
-  is ==-identical to the per-instance path, and the ``batched``
-  counter in ``/v1/stats`` tracks how many requests were served this
-  way.
+  one vector-ladder call.  Every grouped response is ==-identical to
+  the per-instance path, and the ``batched`` counter in ``/v1/stats``
+  tracks how many requests were served this way.
 
 One construction path
 ---------------------
@@ -91,7 +89,6 @@ from repro.apps.connectivity import connected_components
 from repro.apps.mincut import approximate_min_cut
 from repro.apps.mst import minimum_spanning_tree
 from repro.core import batch, quality
-from repro.core.batch import measure_batch
 from repro.core.doubling import find_shortcut_doubling
 from repro.errors import ReproError
 from repro.graphs.batch_csr import numpy_available
@@ -474,10 +471,10 @@ class ShortcutService:
     when it reaches ``batch_limit`` members.  The group's
     constructions go through the same routing as a single request
     (one vector-ladder call for the items above :data:`VECTOR_MIN_N`),
-    and its quality reports are computed in one
-    :func:`repro.core.batch.measure_batch` call (the vector strategy
-    when numpy is installed, the loop otherwise — both ==-identical to
-    per-instance compute).
+    and each item's quality report is measured on its own, as for a
+    single request: on a window of a few mid-size shortcuts the
+    vectorized ``measure_batch`` is no faster than the loop (E15's
+    batch-pool row reads 0.76x at small and 1.0–1.1x at paper scale).
     """
 
     def __init__(
@@ -506,7 +503,6 @@ class ShortcutService:
         self.retry_after_s = retry_after_s
         self.batch_window_s = batch_window_s
         self.batch_limit = max(1, batch_limit)
-        self._batch_strategy = "vector" if numpy_available() else "loop"
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-svc"
         )
@@ -705,12 +701,10 @@ class ShortcutService:
 
         The constructions go through :func:`_build_shortcuts` — one
         vector-ladder call for every item above :data:`VECTOR_MIN_N`,
-        the per-instance search for the rest — and the quality reports
-        of the whole group run through one batch-layer call.  A failure
-        stays confined to its own item: a failed hydrate or
-        construction answers only its request, and on any batch-call
-        error the group falls back to per-instance measurement so
-        errors attribute exactly as on the unbatched path.
+        the per-instance search for the rest — and each item is then
+        measured on its own.  A failure stays confined to its own item:
+        a failed hydrate, construction or measurement answers only its
+        request.
         """
         hydrated = []
         for key, spec, params, future in group.items:
@@ -730,29 +724,13 @@ class ShortcutService:
                 self._finish(key, future, self._failure(outcome))
             else:
                 built.append((key, future, instance, outcome))
-        if not built:
-            return
-        reports = None
-        try:
-            reports = measure_batch(
-                [outcome.result.shortcut for _, _, _, outcome in built],
-                [instance.topology for _, _, instance, _ in built],
-                with_dilation=group.with_dilation,
-                batch=self._batch_strategy,
-            )
-        except Exception:  # noqa: BLE001 — fall back to per-item measure
-            reports = None
         payload_fn = BATCHED_PAYLOADS[group.op]
-        for index, (key, future, instance, outcome) in enumerate(built):
+        for key, future, instance, outcome in built:
             try:
-                report = (
-                    reports[index]
-                    if reports is not None
-                    else quality.measure(
-                        outcome.result.shortcut,
-                        instance.topology,
-                        with_dilation=group.with_dilation,
-                    )
+                report = quality.measure(
+                    outcome.result.shortcut,
+                    instance.topology,
+                    with_dilation=group.with_dilation,
                 )
                 result = payload_fn(outcome, report)
                 self.stats.bump("computed", "batched")

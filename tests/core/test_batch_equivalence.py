@@ -406,3 +406,184 @@ def test_ladder_error_path_identical(ragged, ragged_seeds):
         else:
             assert batched.shortcut.subgraphs == reference.shortcut.subgraphs
             assert batched.ledger == reference.ledger
+
+
+# ----------------------------------------------------------------------
+# The ladder's verification, read off the node forest
+# ----------------------------------------------------------------------
+
+
+class _ForestProbe:
+    """Checks every wave iteration's forest-derived count maps against
+    the clone-table reduction over that iteration's own edge slots.
+
+    The sweep and flood spies record the tentative shortcut's slots
+    (the sweep's usable pairs, or the flood bits of usable nodes, which
+    the flood overwrites when it runs); the forest spy then packs those
+    slots with :meth:`ShortcutPack.from_arrays` and requires
+    ``verification_counts_batch`` to agree map for map, and so must the
+    per-instance ``verification_counts_direct`` on the same slots.
+    """
+
+    def __init__(self, monkeypatch):
+        import numpy as np
+
+        from repro.core import batch as batch_module
+        from repro.graphs.batch_csr import ShortcutPack
+
+        self.iterations = 0
+        self.non_remaining = 0
+        self.merges = 0
+        self.slots = None
+        sweep = batch_module._upward_sweep_batch
+        flood = batch_module._flood_up_batch
+        forest = batch_module._forest_counts
+        merge = batch_module.merge_components
+
+        def spy_sweep(np_, batch, own, caps):
+            out = sweep(np_, batch, own, caps)
+            self.slots = (out[0], out[1])
+            return out
+
+        def spy_flood(np_, batch, own, usable):
+            seen, rounds, messages = flood(np_, batch, own, usable)
+            rows = np.flatnonzero(usable & seen.any(axis=1))
+            bits = np.unpackbits(
+                seen[rows].view(np.uint8), axis=1, bitorder="little"
+            )
+            node_index, local_id = np.nonzero(bits)
+            nodes = rows[node_index]
+            ids = local_id.astype(np.int64) + batch.part_offsets[
+                batch.instance_of_node[nodes]
+            ]
+            self.slots = (nodes, ids)
+            return seen, rounds, messages
+
+        def spy_forest(np_, batch, usable, remaining, b_limits):
+            counts = forest(np_, batch, usable, remaining, b_limits)
+            nodes, ids = self.slots
+            pack = ShortcutPack.from_arrays(
+                batch,
+                ids,
+                nodes,
+                batch.tree_parent[nodes],
+                batch.tree_edge_ids()[nodes],
+            )
+            assert counts == verification_counts_batch(pack, b_limits)
+            assert counts == [
+                verification_counts_direct(
+                    batch.topologies[b],
+                    _shortcut_from_slots(batch, b, nodes, ids),
+                    b_limits[b],
+                )
+                for b in range(batch.size)
+            ]
+            self.iterations += 1
+            self.non_remaining += int((~remaining[: batch.p_total]).sum())
+            return counts
+
+        def spy_merge(np_, component, edge_a, edge_b):
+            out = merge(np_, component, edge_a, edge_b)
+            self.merges += out is not component
+            return out
+
+        monkeypatch.setattr(batch_module, "_upward_sweep_batch", spy_sweep)
+        monkeypatch.setattr(batch_module, "_flood_up_batch", spy_flood)
+        monkeypatch.setattr(batch_module, "_forest_counts", spy_forest)
+        monkeypatch.setattr(batch_module, "merge_components", spy_merge)
+
+
+def _shortcut_from_slots(batch, b, nodes, ids):
+    """Instance ``b``'s tentative shortcut from global edge slots."""
+    n0, n1 = int(batch.node_offsets[b]), int(batch.node_offsets[b + 1])
+    p0 = int(batch.part_offsets[b])
+    subgraphs = [set() for _ in range(batch.partitions[b].size)]
+    for v, part in zip(nodes.tolist(), ids.tolist()):
+        if n0 <= v < n1:
+            u = int(batch.tree_parent[v])
+            subgraphs[part - p0].add((min(v, u) - n0, max(v, u) - n0))
+    return TreeRestrictedShortcut(
+        batch.trees[b], batch.partitions[b], subgraphs
+    )
+
+
+@pytest.fixture
+def forest_probe(monkeypatch):
+    return _ForestProbe(monkeypatch)
+
+
+def _hand_built_instance():
+    # A 12x12 grid with a hand-made partition: part 0 is the four
+    # corners and part 1 two runs of column 5, both disconnected in
+    # G[P_i], so only co-block links can join their pieces; the other
+    # parts are row runs of five, and columns 5 and 11 are otherwise
+    # uncovered (label -1).
+    instance = hydrate(
+        InstanceSpec("grid", (12, 12), partition=("rows", 12, 12))
+    )
+    corners = {0, 11, 132, 143}
+    parts = [corners, {12 * r + 5 for r in (*range(5), *range(7, 12))}]
+    for r in range(12):
+        for columns in (range(0, 5), range(6, 11)):
+            parts.append({12 * r + c for c in columns} - corners)
+    return instance.topology, instance.tree, Partition(144, parts)
+
+
+@pytest.mark.parametrize("use_fast", [True, False])
+def test_forest_counts_match_clone_table_ragged(
+    ragged, ragged_seeds, forest_probe, use_fast
+):
+    topologies, trees, partitions, _shortcuts = ragged
+    find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds,
+        use_fast=use_fast, batch="vector",
+    )
+    assert forest_probe.iterations > 0
+    assert forest_probe.non_remaining > 0
+
+
+@pytest.mark.parametrize("use_fast", [True, False])
+def test_forest_counts_match_clone_table_hand_built(forest_probe, use_fast):
+    topology, tree, partition = _hand_built_instance()
+    single = _single_node_instance()
+    topologies = [topology, single[0], topology]
+    trees = [tree, single[1], tree]
+    partitions = [partition, single[2], partition]
+    seeds = [1, 2, 9]
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=seeds, use_fast=use_fast,
+        batch="vector",
+    )
+    assert forest_probe.iterations > 0
+    assert forest_probe.non_remaining > 0
+    # The disconnected parts were joined through co-block links.
+    assert forest_probe.merges > 0
+    for t, tr, p, s, batched in zip(
+        topologies, trees, partitions, seeds, vector
+    ):
+        reference = find_shortcut_doubling(
+            t, tr, p, seed=s, use_fast=use_fast, mode="direct"
+        )
+        _assert_doubling_equal(reference, batched)
+
+
+def test_forest_counts_match_clone_table_warm_start(
+    ragged, ragged_seeds, forest_probe
+):
+    topologies, trees, partitions, _shortcuts = ragged
+    states = []
+    for t, tr, p, s in zip(topologies, trees, partitions, ragged_seeds):
+        try:
+            find_shortcut(
+                t, tr, p, 1, 1, seed=s, max_iterations=1, mode="direct"
+            )
+            states.append(None)
+        except ConstructionFailedError as error:
+            states.append(error.state)
+    assert any(state is not None for state in states)
+    find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds,
+        c_starts=2, b_starts=2, initial_states=states, batch="vector",
+    )
+    assert forest_probe.iterations > 0
+    assert forest_probe.non_remaining > 0

@@ -33,3 +33,23 @@ def test_subpackage_imports_first(name, subprocess_env):
         env=subprocess_env,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
+
+
+@pytest.mark.parametrize("name", [*SUBPACKAGES, "bench"])
+def test_import_leaves_numeric_stack_unloaded(name, subprocess_env):
+    # numpy/scipy load lazily, inside the kernels that need them: a
+    # module-level import would add ~0.1 s to every process start,
+    # including the service's.
+    probe = (
+        f"import sys, repro.{name}; "
+        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=subprocess_env,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    assert completed.stdout.strip() == "[]"
