@@ -43,7 +43,7 @@ The vectorized twins cover the hottest per-instance kernels:
   :func:`numpy.unique` over ``node * P + id`` keys, and the
   ``done``/``seal`` round recurrence scatters with ``maximum.at``;
 * **verification block counts** (:func:`verification_counts_batch`) —
-  the per-part union-finds of
+  the per-part block-root walks and component merges of
   :func:`repro.core.construct_fast.verification_counts_direct` become
   pointer jumping (blocks) plus min-label propagation (communication
   components) over the member subspace.  One verdict reduction
@@ -163,8 +163,9 @@ def _block_root_pointer(np, pack: ShortcutPack):
     """Root of every clone in the ``H_i`` block forest (pointer jumping).
 
     Each ``(part, child)`` clone has at most one outgoing tree edge, so
-    the block structure is a functional forest and the union-find of
-    the per-instance kernels collapses to one pointer-jump fixpoint.
+    the block structure is a functional forest and the per-instance
+    kernels' union-find (quality) and block-root walk (verification)
+    collapse to one pointer-jump fixpoint.
     Memoized on the pack — the quality and verification kernels share
     one batch's roots.
     """
@@ -246,7 +247,9 @@ def dilation_batch(pack: ShortcutPack) -> List[int]:
     b = pack.member_clone[inverse[mv]]
     src = np.concatenate([a, b, pack.h_child_clone, pack.h_parent_clone])
     dst = np.concatenate([b, a, pack.h_parent_clone, pack.h_child_clone])
-    indices = dst[np.argsort(src, kind="stable")]
+    # Grouping by source is all the CSR needs: a diameter does not
+    # depend on the order of a node's neighbors.
+    indices = dst[np.argsort(src)]
     indptr = np.zeros(clone_count + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=clone_count), out=indptr[1:])
 
@@ -400,8 +403,8 @@ def _verdict_counts(
         count = component
     member_limit = limits[batch.instance_of_part[member_part]]
     verdict = np.where(count <= member_limit, count, -1)
-    verdict_min = segment_min(np, verdict, member_starts, empty=0)
-    verdict_max = segment_max(np, verdict, member_starts, empty=0)
+    verdict_min = segment_min(np, verdict, member_starts, empty=0).tolist()
+    verdict_max = segment_max(np, verdict, member_starts, empty=0).tolist()
 
     results: List[Dict[int, Optional[int]]] = []
     for b in range(batch.size):
@@ -412,7 +415,7 @@ def _verdict_counts(
         n0 = int(batch.node_offsets[b])
         per_part: Dict[int, Optional[int]] = {}
         for local, part in enumerate(range(p0, p1)):
-            low, high = int(verdict_min[part]), int(verdict_max[part])
+            low, high = verdict_min[part], verdict_max[part]
             if low < 0:
                 per_part[local] = None
             elif low == high:
@@ -814,38 +817,45 @@ def _flood_up_batch(np, batch: BatchCSR, own, usable):
         arrived = distinct(parent[senders])
     woken = empty
     current_round = 0
+    # Gathers use take/compress: per-round sets are small, so the
+    # general fancy-indexing path is most of a gather's cost.
     while arrived.size or woken.size:
         current_round += 1
         node_mask[arrived] = True
         node_mask[woken] = True
         active = np.flatnonzero(node_mask)
         node_mask[active] = False
-        rounds[inst[active]] = current_round
+        rounds[inst.take(active)] = current_round
         if arrived.size:
-            can = arrived[usable[arrived]]
-            blocked = arrived[~usable[arrived]]
+            forwards = usable.take(arrived)
+            can = arrived.compress(forwards)
+            blocked = arrived.compress(~forwards)
             if can.size:
-                pending[can] |= arrival[can] & ~seen[can]
-                seen[can] |= arrival[can]
+                incoming = arrival.take(can, axis=0)
+                pending[can] |= incoming & ~seen.take(can, axis=0)
+                seen[can] |= incoming
             if blocked.size:
-                seen[blocked] |= arrival[blocked]
+                seen[blocked] |= arrival.take(blocked, axis=0)
             arrival[arrived] = 0
-        senders = active[usable[active]]
+        senders = active.compress(usable.take(active))
         if senders.size:
-            senders = senders[pending[senders].any(axis=1)]
+            senders = senders.compress(
+                pending.take(senders, axis=0).any(axis=1)
+            )
         if senders.size:
-            pw = pending[senders]
+            pw = pending.take(senders, axis=0)
             first = (pw != 0).argmax(axis=1)
             word = pw[np.arange(len(senders)), first]
             # Two's-complement isolate of the lowest set bit: the heap
             # minimum *is* the smallest pending id.
             low = word & (~word + np.uint64(1))
             pending[senders, first] = word & ~low
-            messages += np.bincount(inst[senders], minlength=batch.size)
+            messages += np.bincount(inst.take(senders), minlength=batch.size)
             flat = arrival.reshape(-1)
-            np.bitwise_or.at(flat, parent[senders] * words + first, low)
-            arrived = distinct(parent[senders])
-            woken = senders[pending[senders].any(axis=1)]
+            targets = parent.take(senders)
+            np.bitwise_or.at(flat, targets * words + first, low)
+            arrived = distinct(targets)
+            woken = senders.compress(pending.take(senders, axis=0).any(axis=1))
         else:
             arrived = empty
             woken = empty
@@ -945,7 +955,9 @@ def _find_shortcut_wave(
     ``instance_keys`` / ``pack_cache`` let the doubling driver reuse
     sub-batch packs across rungs whose active set repeats; the member
     table and part-internal components cached on each sub-batch
-    :class:`BatchCSR` ride along.
+    :class:`BatchCSR` ride along, and each instance's part-internal
+    components are found once, by the first sub-batch holding it
+    (:meth:`BatchCSR.share_member_components`).
     """
     from repro.core.construct_fast import charge_verification_terms
     from repro.core.core_fast import active_parts, sampling_parameters
@@ -983,6 +995,8 @@ def _find_shortcut_wave(
             trees[i], partitions[i], [frozenset(s) for s in acc[i]]
         )
 
+    # Per-instance G[P_i] components, shared by every sub-batch pack.
+    component_pieces = pack_cache.setdefault("member_components", {})
     results: List = [None] * size
     active = list(range(size))
     while True:
@@ -1021,6 +1035,8 @@ def _find_shortcut_wave(
         if cached is None:
             if len(pack_cache) >= 64:
                 pack_cache.clear()
+                component_pieces.clear()
+                pack_cache["member_components"] = component_pieces
             sub = BatchCSR(
                 [topologies[i] for i in active],
                 [trees[i] for i in active],
@@ -1043,6 +1059,7 @@ def _find_shortcut_wave(
             # Out-of-partition nodes (label -1) redirect to a sentinel
             # slot so mask lookups need no per-instance slicing.
             safe_labels = np.where(sub.labels >= 0, sub.labels, sub.p_total)
+            sub.share_member_components(key, component_pieces)
             pack_cache[key] = (sub, part_edges, safe_labels)
         else:
             sub, part_edges, safe_labels = cached
@@ -1052,28 +1069,30 @@ def _find_shortcut_wave(
         rem_mask = np.zeros(sub.p_total + 1, dtype=bool)
         act_mask = np.zeros(sub.p_total + 1, dtype=bool) if use_fast else None
         caps = np.empty(sub.size, dtype=np.int64)
+        # Global part ids, collected in lists and set in one scatter each.
+        rem_ids: List[int] = []
+        act_ids: List[int] = []
         for k, i in enumerate(active):
             iterations[i] += 1
             base = int(sub.part_offsets[k])
-            for p in remaining[i]:
-                rem_mask[base + p] = True
+            rem_ids.extend(base + p for p in remaining[i])
             if use_fast:
                 p_sample, tau = sampling_parameters(
                     topologies[i].n, c_list[i], gamma
                 )
                 caps[k] = tau - 1
-                act = (
-                    active_parts(
-                        partitions[i],
-                        mix(shared_seeds[i], iterations[i]),
-                        p_sample,
-                    )
-                    & remaining[i]
+                act = active_parts(
+                    partitions[i],
+                    mix(shared_seeds[i], iterations[i]),
+                    p_sample,
+                    remaining[i],
                 )
-                for p in act:
-                    act_mask[base + p] = True
+                act_ids.extend(base + p for p in act)
             else:
                 caps[k] = 2 * c_list[i]
+        rem_mask[rem_ids] = True
+        if use_fast:
+            act_mask[act_ids] = True
         own_all = np.where(rem_mask[safe_labels], sub.labels, -1)
         own_active = (
             np.where(act_mask[safe_labels], sub.labels, -1)
@@ -1153,15 +1172,23 @@ def _find_shortcut_wave(
         else:
             mask = good_global[entry_ids]
             g_nodes, g_ids = entry_nodes[mask], entry_ids[mask]
-        g_inst = sub.instance_of_node[g_nodes]
-        bases = sub.node_offsets[g_inst]
+        if not g_ids.size:
+            continue
+        # One set update per frozen part: group the slots by global part.
+        order = np.argsort(g_ids)
+        g_ids, g_nodes = g_ids[order], g_nodes[order]
+        bases = sub.node_offsets[sub.instance_of_node[g_nodes]]
         v_local = g_nodes - bases
         p_local = sub.tree_parent[g_nodes] - bases
         lo = np.minimum(v_local, p_local).tolist()
         hi = np.maximum(v_local, p_local).tolist()
-        parts_local = (g_ids - sub.part_offsets[g_inst]).tolist()
-        for idx, k in enumerate(g_inst.tolist()):
-            acc[active[k]][parts_local[idx]].add((lo[idx], hi[idx]))
+        heads = np.flatnonzero(np.diff(g_ids, prepend=-1))
+        ends = np.append(heads[1:], g_ids.size).tolist()
+        for head, end, part in zip(heads.tolist(), ends, g_ids[heads].tolist()):
+            k = int(sub.instance_of_part[part])
+            acc[active[k]][part - int(sub.part_offsets[k])].update(
+                zip(lo[head:end], hi[head:end])
+            )
 
 
 def find_shortcut_batch(

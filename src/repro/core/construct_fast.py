@@ -98,7 +98,7 @@ from repro.core.core_slow import CoreOutcome
 from repro.core.quality_fast import _find
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
-from repro.graphs.csr import adjacency_csr, tree_arrays
+from repro.graphs.csr import tree_arrays
 from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
@@ -159,13 +159,35 @@ def part_internal_edges(topology: Topology, partition: Partition) -> int:
 
     The per-instance constant feeding the exchange term of
     :func:`verification_cost`; read off the same-part neighbor scan of
-    :func:`repro.core.partwise_fast.part_neighbors_cached` (one cached
-    scan per (topology, labels) serves both layers).
+    :func:`repro.core.partwise_fast.part_scan_cached` (one cached scan
+    per (topology, labels) serves both layers).
     """
-    from repro.core.partwise_fast import part_neighbors_cached
+    from repro.core.partwise_fast import part_scan_cached
 
-    neighbors = part_neighbors_cached(topology, partition)
-    return sum(len(same_part) for same_part in neighbors.values())
+    return part_scan_cached(topology, partition).part_edges
+
+
+def _canonical_shortcut(
+    tree: SpanningTree,
+    partition: Partition,
+    parent: List[int],
+    ids_by_node: Iterable[Tuple[int, Iterable[int]]],
+) -> TreeRestrictedShortcut:
+    """Build from ``(child node, part ids using its parent edge)`` pairs.
+
+    Every edge is a ``(min, max)`` parent link of ``tree`` and every id
+    a part label, so the subgraphs are canonical by construction and
+    skip :class:`TreeRestrictedShortcut`'s re-validation.
+    """
+    subgraphs: List[Set[Edge]] = [set() for _ in range(partition.size)]
+    for v, ids in ids_by_node:
+        p = parent[v]
+        edge = (v, p) if v < p else (p, v)
+        for part in ids:
+            subgraphs[part].add(edge)
+    return TreeRestrictedShortcut._from_canonical(
+        tree, partition, [frozenset(edges) for edges in subgraphs]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -177,13 +199,15 @@ def _upward_sweep(
     tree: SpanningTree,
     own: List[Optional[int]],
     cap: int,
-) -> Tuple[Dict[Edge, Tuple[int, ...]], Set[Edge], List[bool], int, int]:
+) -> Tuple[Dict[int, Set[int]], Set[Edge], List[bool], int, int]:
     """One Algorithm 1 sweep: bottom-up id counting with a cap.
 
     ``own[v]`` is the id node ``v`` injects (``None`` to relay only).
-    Returns ``(edge_map, unusable_edges, unusable_by_node, rounds,
-    messages)`` where rounds/messages are the *exact* cost of the
-    simulated streaming program (see the module docstring's recurrence).
+    Returns ``(kept, unusable_edges, unusable_by_node, rounds,
+    messages)``: ``kept[v]`` is the non-empty id set a usable parent
+    edge of ``v`` carries, and rounds/messages are the *exact* cost of
+    the simulated streaming program (see the module docstring's
+    recurrence).
     """
     arrays = tree_arrays(tree)
     parent = arrays.parent
@@ -192,7 +216,7 @@ def _upward_sweep(
     done: List[int] = [0] * n
     seal: List[int] = [0] * n
     unusable_by_node = [False] * n
-    edge_map: Dict[Edge, Tuple[int, ...]] = {}
+    kept: Dict[int, Set[int]] = {}
     unusable: Set[Edge] = set()
     messages = 0
 
@@ -221,13 +245,13 @@ def _upward_sweep(
             q = len(ids)
             visible[v] = ids
             if ids:
-                edge_map[tree.parent_edge(v)] = tuple(sorted(ids))
+                kept[v] = ids
         done[v] = s + q
         messages += q + 1  # the streamed ids plus the done marker
 
     root_children = tree.children(tree.root)
     rounds = max((done[c] + 1 for c in root_children), default=0)
-    return edge_map, unusable, unusable_by_node, rounds, messages
+    return kept, unusable, unusable_by_node, rounds, messages
 
 
 def core_slow_direct(
@@ -254,10 +278,10 @@ def core_slow_direct(
         part = labels[v]
         if part >= 0 and (participating_set is None or part in participating_set):
             own[v] = part
-    edge_map, unusable, _by_node, rounds, messages = _upward_sweep(
-        tree, own, 2 * c
+    kept, unusable, _by_node, rounds, messages = _upward_sweep(tree, own, 2 * c)
+    shortcut = _canonical_shortcut(
+        tree, partition, tree_arrays(tree).parent, kept.items()
     )
-    shortcut = TreeRestrictedShortcut.from_edge_map(tree, partition, edge_map)
     if ledger is not None:
         ledger.charge_phase("core-slow", rounds, messages)
     return CoreOutcome(
@@ -356,7 +380,7 @@ def core_fast_direct(
     participating_set = (
         set(participating) if participating is not None else set(range(partition.size))
     )
-    active = active_parts(partition, shared_seed, p) & participating_set
+    active = active_parts(partition, shared_seed, p, participating_set)
     labels = partition.labels
     n = topology.n
 
@@ -370,24 +394,19 @@ def core_fast_direct(
             own_active[v] = part
         if part in participating_set:
             own_all[v] = part
-    _map_a, unusable, unusable_by_node, rounds_a, messages_a = _upward_sweep(
+    _kept_a, unusable, unusable_by_node, rounds_a, messages_a = _upward_sweep(
         tree, own_active, tau - 1
     )
 
-    arrays = tree_arrays(tree)
-    usable = [
-        arrays.parent[v] >= 0 and not unusable_by_node[v] for v in range(n)
-    ]
+    parent = tree_arrays(tree).parent
+    usable = [parent[v] >= 0 and not unusable_by_node[v] for v in range(n)]
     q_ids, rounds_b, messages_b = _flood_up(tree, own_all, usable)
-
-    edge_map: Dict[Edge, Tuple[int, ...]] = {}
-    for v in range(n):
-        if not usable[v]:
-            continue
-        ids = q_ids[v]
-        if ids:
-            edge_map[tree.parent_edge(v)] = tuple(sorted(ids))
-    shortcut = TreeRestrictedShortcut.from_edge_map(tree, partition, edge_map)
+    shortcut = _canonical_shortcut(
+        tree,
+        partition,
+        parent,
+        ((v, q_ids[v]) for v in range(n) if usable[v] and q_ids[v]),
+    )
     if ledger is not None:
         ledger.charge_phase("core-fast/sample", rounds_a, messages_a)
         ledger.charge_phase("core-fast/flood", rounds_b, messages_b)
@@ -400,7 +419,7 @@ def core_fast_direct(
 
 
 # ----------------------------------------------------------------------
-# Verification (Lemma 3) — union-find block/component counting
+# Verification (Lemma 3) — block counting from block roots
 # ----------------------------------------------------------------------
 
 
@@ -418,53 +437,62 @@ def verification_counts_direct(
     components), and a component with more than ``b_limit`` blocks
     withholds its verdict — both collapse to the same reduction the
     simulated engine applies over per-member verdicts.
+
+    A block of ``H_i`` is a subtree of ``T`` and a tree edge is named by
+    its child, so a member's block is keyed by its topmost
+    ancestor-or-self reachable through ``H_i`` (memoised along each
+    walk).  The components of ``G[P_i]`` come from the cached
+    :func:`~repro.core.partwise_fast.part_scan_cached`: a part with one
+    of them answers with its number of distinct keys, and only split
+    parts merge their components along shared blocks.
     """
+    from repro.core.partwise_fast import part_scan_cached
+
     partition = shortcut.partition
     if b_limit < 1:
         return {index: None for index in range(partition.size)}
-    csr = adjacency_csr(topology)
-    labels = partition.labels
-    indptr, indices = csr.indptr, csr.indices
-    block_parent = list(range(partition.n))
-    comp_parent = list(range(partition.n))
+    scan = part_scan_cached(topology, partition)
+    parent = tree_arrays(shortcut.tree).parent
     per_part: Dict[int, Optional[int]] = {}
 
     for index in range(partition.size):
         members = partition.members(index)
-        touched: List[int] = []
-        # Block structure: components of (V, H_i).
-        for u, v in shortcut.subgraph(index):
-            touched.append(u)
-            touched.append(v)
-            ru, rv = _find(block_parent, u), _find(block_parent, v)
-            if ru != rv:
-                block_parent[ru] = rv
-        # Communication components: part-internal edges + co-blocked
-        # members (a block's members are one supernode).
+        # Children whose parent edge is in H_i.
+        lifted = {a if parent[a] == b else b for a, b in shortcut.subgraph(index)}
+        top: Dict[int, int] = {}
+        for v in members:
+            if v in top or v not in lifted:
+                continue
+            path = []
+            x = v
+            while x in lifted and x not in top:
+                path.append(x)
+                x = parent[x]
+            root = top.get(x, x)
+            for y in path:
+                top[y] = root
+        if index not in scan.split:
+            count = len({top.get(v, v) for v in members})
+            per_part[index] = count if 0 < count <= b_limit else None
+            continue
+        # Communication components: the components of G[P_i] merged
+        # along co-blocked members (a block's members are one supernode).
+        component = scan.component
+        merged = {component[v]: component[v] for v in members}
         block_rep: Dict[int, int] = {}
         for v in members:
-            for w in indices[indptr[v] : indptr[v + 1]]:
-                if labels[w] == index and w > v:
-                    ru, rv = _find(comp_parent, v), _find(comp_parent, w)
-                    if ru != rv:
-                        comp_parent[ru] = rv
-            root = _find(block_parent, v)
-            rep = block_rep.get(root)
-            if rep is None:
-                block_rep[root] = v
-            else:
-                ru, rv = _find(comp_parent, rep), _find(comp_parent, v)
-                if ru != rv:
-                    comp_parent[ru] = rv
-        # Count distinct blocks per component.
+            rep = block_rep.setdefault(top.get(v, v), component[v])
+            ru, rv = _find(merged, rep), _find(merged, component[v])
+            if ru != rv:
+                merged[ru] = rv
         comp_blocks: Dict[int, Set[int]] = {}
         for v in members:
-            comp_blocks.setdefault(_find(comp_parent, v), set()).add(
-                _find(block_parent, v)
+            comp_blocks.setdefault(_find(merged, component[v]), set()).add(
+                top.get(v, v)
             )
         verdict: Dict[int, Optional[int]] = {}
         for v in members:
-            count = len(comp_blocks[_find(comp_parent, v)])
+            count = len(comp_blocks[_find(merged, component[v])])
             verdict[v] = count if count <= b_limit else None
         # The exact reduction the simulated engine applies.
         member_verdicts = {verdict.get(v) for v in members}
@@ -472,13 +500,6 @@ def verification_counts_direct(
             per_part[index] = None
         else:
             per_part[index] = member_verdicts.pop()
-        # Reset the shared arrays (writes only happen at touched
-        # entries and at members, as in quality_fast.block_counts).
-        for v in touched:
-            block_parent[v] = v
-        for v in members:
-            block_parent[v] = v
-            comp_parent[v] = v
     return per_part
 
 

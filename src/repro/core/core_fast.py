@@ -59,13 +59,19 @@ def sampling_parameters(n: int, c: int, gamma: float = 2.0) -> Tuple[float, int]
 
 
 def active_parts(
-    partition: Partition, shared_seed: int, p: float
+    partition: Partition,
+    shared_seed: int,
+    p: float,
+    participating: Optional[Iterable[int]] = None,
 ) -> FrozenSet[int]:
     """Parts activated by the shared coin (locally computable by all
-    members from the shared seed and their own part id)."""
-    return frozenset(
-        i for i in range(partition.size) if coin(shared_seed, i, ACTIVITY_SALT) < p
-    )
+    members from the shared seed and their own part id).
+
+    ``participating`` limits the draw to those parts (all parts when
+    ``None``); a part's coin does not depend on which others are drawn.
+    """
+    parts = range(partition.size) if participating is None else participating
+    return frozenset(i for i in parts if coin(shared_seed, i, ACTIVITY_SALT) < p)
 
 
 class FloodUpAlgorithm(NodeAlgorithm):
@@ -153,7 +159,7 @@ def core_fast(
     participating_set = (
         set(participating) if participating is not None else set(range(partition.size))
     )
-    active = active_parts(partition, shared_seed, p) & participating_set
+    active = active_parts(partition, shared_seed, p, participating_set)
 
     # Phase A: sampled sweep.  CoreSlow's program with the active subset
     # and cap τ - 1 marks an edge unusable exactly when >= τ = 4cp
@@ -224,7 +230,7 @@ def core_fast_reference(
     participating_set = (
         set(participating) if participating is not None else set(range(partition.size))
     )
-    active = active_parts(partition, shared_seed, p) & participating_set
+    active = active_parts(partition, shared_seed, p, participating_set)
 
     # Phase A: bottom-up active-id counting with threshold τ.
     visible_active: Dict[int, Set[int]] = {}

@@ -102,31 +102,36 @@ class ConstructionState:
                 f"the state for the new partition instead of reusing it"
             )
         tree_edges = tree.edges
+        topology_edges = topology._edge_lookup()
+        same_members = old.partition is partition
         remaining = set(self.remaining)
         subgraphs: List[FrozenSet[Edge]] = []
         for index in range(partition.size):
             if index in remaining:
                 subgraphs.append(frozenset())
                 continue
+            # Shortcut edges are canonical, so two subset tests check
+            # every edge against the tree and the topology.
             subgraph = old.subgraph(index)
-            valid = all(
-                edge in tree_edges and topology.has_edge(*edge)
-                for edge in subgraph
+            valid = (
+                subgraph <= tree_edges
+                and subgraph <= topology_edges
+                and (
+                    same_members
+                    or old.partition.members(index) == partition.members(index)
+                )
+                and _is_connected_subset(topology, partition.members(index))
             )
-            if valid and old.partition.members(index) != partition.members(index):
-                valid = False
-            if valid and not _is_connected_subset(
-                topology, partition.members(index)
-            ):
-                valid = False
             if valid:
                 subgraphs.append(subgraph)
             else:
                 remaining.add(index)
                 subgraphs.append(frozenset())
+        # Every kept subgraph is a subset of ``tree.edges``, so the
+        # rebuilt shortcut needs no per-edge re-validation.
         return ConstructionState(
             remaining=frozenset(remaining),
-            shortcut=TreeRestrictedShortcut(tree, partition, subgraphs),
+            shortcut=TreeRestrictedShortcut._from_canonical(tree, partition, subgraphs),
             good_history=self.good_history,
         )
 

@@ -25,7 +25,10 @@ The engine runs on one of two *backends* (see
 executes every superstep as a node program on the CONGEST simulator,
 ``backend="direct"`` replays the identical deterministic dynamics as
 centralized array passes — bit-for-bit equal results *and* ledger
-charges, at a fraction of the cost.
+charges, at a fraction of the cost.  The direct min-flood
+(:meth:`PartwiseEngine.minimum_per_part`, and so leader election and
+leader broadcasts) runs on the contracted supergraph itself: one value
+per block, one ``min`` over adjacent blocks per superstep.
 """
 
 from __future__ import annotations
@@ -143,17 +146,21 @@ class PartwiseEngine:
         # tasks whose block carries a value (keyed in ``self.tasks`` order).
         self._convergecast_cost: Optional[Tuple[int, int]] = None
         self._broadcast_costs: Dict[Tuple[TaskKey, ...], Tuple[int, int]] = {}
+        # Direct-backend supergraph (see _supergraph), built on first use.
+        self._contracted: Optional[
+            Tuple[List[int], List[Tuple[int, ...]], List[int]]
+        ] = None
 
         # Part-internal neighborhood (one round of neighbor discovery,
         # charged up front).  The scan depends only on (topology,
         # labels), so it is computed once per fragment partition and
         # shared by every engine over it — the round itself is still
         # charged per engine, as each would pay it distributively.
-        from repro.core.partwise_fast import part_neighbors_cached
+        from repro.core.partwise_fast import part_scan_cached
 
-        self.part_neighbors: Dict[int, Tuple[int, ...]] = part_neighbors_cached(
+        self.part_neighbors: Dict[int, Tuple[int, ...]] = part_scan_cached(
             topology, self.partition
-        )
+        ).neighbors
         self.ledger.charge("partwise/neighbor-discovery", 1, 2 * topology.m)
 
     # ------------------------------------------------------------------
@@ -214,13 +221,19 @@ class PartwiseEngine:
         carry a value — so each cost is replayed once per engine and
         charged from the cache afterwards.
         """
-        from repro.core import partwise_fast
-
         folded: Dict[TaskKey, int] = {}
         for v, key in self._task_key_of.items():
             value = values.get(v)
             if value is not None:
                 folded[key] = _combine(combine, folded.get(key), value)
+        self._charge_block_step(tuple(key for key in self.tasks if key in folded))
+        return {v: folded.get(key) for v, key in self._task_key_of.items()}
+
+    def _charge_block_step(self, participating: Tuple[TaskKey, ...]) -> None:
+        """Charge one direct block step: the convergecast over every task
+        plus the broadcast over ``participating`` (in ``self.tasks``
+        order), each from its per-engine cost cache."""
+        from repro.core import partwise_fast
 
         if self._convergecast_cost is None:
             tasks = self.tasks.values()
@@ -233,7 +246,6 @@ class PartwiseEngine:
             f"partwise/convergecast#{self._step}", *self._convergecast_cost
         )
 
-        participating = tuple(key for key in self.tasks if key in folded)
         cost = self._broadcast_costs.get(participating)
         if cost is None:
             tasks = [self.tasks[key] for key in participating]
@@ -243,8 +255,6 @@ class PartwiseEngine:
             )
         self._step += 1
         self.ledger.charge(f"partwise/broadcast#{self._step}", *cost)
-
-        return {v: folded.get(key) for v, key in self._task_key_of.items()}
 
     def exchange(self, payloads: Dict[int, Optional[tuple]]) -> Dict[int, List[Tuple[int, tuple]]]:
         """One round of exchange over part-internal edges."""
@@ -289,6 +299,8 @@ class PartwiseEngine:
         block parameter ``b`` the supergraph has at most ``b``
         supernodes, so ``iterations = b`` always suffices.
         """
+        if self.backend == "direct":
+            return self._minimum_per_part_direct(values, iterations)
         current = self.block_aggregate(values, "min")
         for _ in range(iterations):
             received = self.exchange(
@@ -307,6 +319,78 @@ class PartwiseEngine:
                 merged[v] = best
             current = self.block_aggregate(merged, "min")
         return current
+
+    def _supergraph(self) -> Tuple[List[int], List[Tuple[int, ...]], List[int]]:
+        """The contracted supergraph, built on first use.
+
+        Returns ``(block index per member, in _task_key_of order; block
+        adjacency over part-internal edges; summed part-internal degree
+        per block)``.  Blocks are indexed in ``self.tasks`` order.
+        """
+        if self._contracted is None:
+            index_of = {key: i for i, key in enumerate(self.tasks)}
+            block_of = {v: index_of[key] for v, key in self._task_key_of.items()}
+            adjacent: List[set] = [set() for _ in index_of]
+            degree = [0] * len(index_of)
+            for v, block in block_of.items():
+                neighbors = self.part_neighbors[v]
+                degree[block] += len(neighbors)
+                for w in neighbors:
+                    other = block_of[w]
+                    if other != block:
+                        adjacent[block].add(other)
+            self._contracted = (
+                list(block_of.values()),
+                [tuple(blocks) for blocks in adjacent],
+                degree,
+            )
+        return self._contracted
+
+    def _minimum_per_part_direct(self, values: Values, iterations: int) -> Values:
+        """Direct twin of :meth:`minimum_per_part` on the supergraph.
+
+        A superstep's exchange hands every member its same-part
+        neighbors' block values, and the following block fold takes the
+        minimum over the block, so one superstep is ``val'[B] =
+        min(val[B], val[B'] for B' adjacent to B)``.  Each valued block
+        sends one message per part-internal edge end it holds, and
+        same-part adjacency is symmetric, so the exchange costs ``Σ
+        deg[B]`` over the valued blocks — the count of
+        :func:`~repro.core.partwise_fast.exchange_direct`.
+        """
+        member_block, adjacent, degree = self._supergraph()
+        keys = tuple(self.tasks)
+        current: List[Optional[int]] = [None] * len(keys)
+        for v, block in zip(self._task_key_of, member_block):
+            value = values.get(v)
+            if value is not None:
+                held = current[block]
+                if held is None or value < held:
+                    current[block] = value
+        self._charge_block_step(
+            tuple(key for key, held in zip(keys, current) if held is not None)
+        )
+        for _ in range(iterations):
+            self._step += 1
+            messages = sum(
+                deg for deg, held in zip(degree, current) if held is not None
+            )
+            self.ledger.charge(f"partwise/exchange#{self._step}", 1, messages)
+            merged = list(current)
+            for block, held in enumerate(current):
+                if held is None:
+                    continue
+                for other in adjacent[block]:
+                    best = merged[other]
+                    if best is None or held < best:
+                        merged[other] = held
+            current = merged
+            self._charge_block_step(
+                tuple(key for key, held in zip(keys, current) if held is not None)
+            )
+        return {
+            v: current[block] for v, block in zip(self._task_key_of, member_block)
+        }
 
     def elect_leaders(self, iterations: int) -> Tuple[Dict[int, int], Values]:
         """Leader election for all parts in parallel (Theorem 2 i).

@@ -50,6 +50,15 @@ the same deterministic dynamics without the engine machinery:
     One round; messages are the closed form (``Σ deg_P(v)`` over
     payload-carrying nodes, resp. ``2m``).
 
+``min-flood`` (``minimum_per_part``)
+    Runs on the contracted supergraph: every block is one supernode,
+    adjacent to the blocks it shares a part-internal edge with, and one
+    superstep is ``val'[B] = min(val[B], val[B'] for B' adjacent)``.
+    Its exchange sends ``Σ deg[B]`` messages over the blocks holding a
+    value, ``deg[B]`` being the summed part-internal degree of ``B``'s
+    members; each block step is charged from the schedule-cost cache
+    above.
+
 ``fragment flood / tree aggregate`` (the no-shortcut baselines)
     The flood is replayed round by round (improvement-triggered
     re-sends included); the claim/convergecast/broadcast tree pass has
@@ -157,39 +166,77 @@ def bfs_and_shared_randomness(
     return tree, shared_seed
 
 
-def part_neighbors_cached(
-    topology: Topology, partition: Partition
-) -> Dict[int, Tuple[int, ...]]:
-    """Per-node same-part neighbor tuples, cached per (topology, labels).
+class PartScan:
+    """The shortcut-independent part structure of one ``(topology, labels)``.
 
-    The neighbor-discovery scan of the partwise engine depends only on
-    the topology and the partition's label array — not on the shortcut
-    — so successive engines over the same fragment partition (every
-    Verification iteration inside one FindShortcut run, both engines of
-    one Borůvka phase) reuse one scan.  Only the most recent partition's
-    scan is retained: accesses are temporally clustered per phase, and
-    Borůvka produces a fresh label array every phase, so a per-labels
-    map would grow for the topology's lifetime.  The *ledger* charge
-    for the discovery round is unaffected: each engine still records it.
+    ``neighbors[v]`` holds ``v``'s same-part neighbors (``()`` for
+    uncovered nodes); ``component[v]`` numbers the connected components
+    of the ``G[P_i]`` (``-1`` for uncovered nodes); ``split`` is the set
+    of parts with more than one component; ``part_edges`` counts the
+    directed part-internal edges.
+    """
+
+    __slots__ = ("labels", "neighbors", "component", "split", "part_edges")
+
+    def __init__(self, topology: Topology, labels: Tuple[int, ...]) -> None:
+        csr = adjacency_csr(topology)
+        indptr, indices = csr.indptr, csr.indices
+        neighbors: Dict[int, Tuple[int, ...]] = {}
+        for v in topology.nodes:
+            part = labels[v]
+            if part < 0:
+                neighbors[v] = ()
+            else:
+                neighbors[v] = tuple(
+                    w for w in indices[indptr[v] : indptr[v + 1]] if labels[w] == part
+                )
+        component = [-1] * topology.n
+        seen_parts = set()
+        split = set()
+        count = 0
+        for v in topology.nodes:
+            part = labels[v]
+            if part < 0 or component[v] >= 0:
+                continue
+            if part in seen_parts:
+                split.add(part)
+            seen_parts.add(part)
+            component[v] = count
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                for w in neighbors[u]:
+                    if component[w] < 0:
+                        component[w] = count
+                        stack.append(w)
+            count += 1
+        self.labels = labels
+        self.neighbors = neighbors
+        self.component = component
+        self.split = frozenset(split)
+        self.part_edges = sum(len(same_part) for same_part in neighbors.values())
+
+
+def part_scan_cached(topology: Topology, partition: Partition) -> PartScan:
+    """The :class:`PartScan` of ``(topology, partition.labels)``, cached.
+
+    The scan depends only on the topology and the partition's label
+    array — not on the shortcut — so successive engines over the same
+    fragment partition (every Verification iteration inside one
+    FindShortcut run, both engines of one Borůvka phase) reuse one
+    scan.  Only the most recent partition's scan is retained: accesses
+    are temporally clustered per phase, and Borůvka produces a fresh
+    label array every phase, so a per-labels map would grow for the
+    topology's lifetime.  The *ledger* charge for the partwise engine's
+    discovery round is unaffected: each engine still records it.
     """
     cache = topology._kernels
     entry = cache.get("part_neighbors")
-    if entry is not None and entry[0] == partition.labels:
-        return entry[1]
-    csr = adjacency_csr(topology)
     labels = partition.labels
-    indptr, indices = csr.indptr, csr.indices
-    neighbors: Dict[int, Tuple[int, ...]] = {}
-    for v in topology.nodes:
-        part = labels[v]
-        if part < 0:
-            neighbors[v] = ()
-        else:
-            neighbors[v] = tuple(
-                w for w in indices[indptr[v] : indptr[v + 1]] if labels[w] == part
-            )
-    cache["part_neighbors"] = (labels, neighbors)
-    return neighbors
+    if entry is not None and entry.labels == labels:
+        return entry
+    entry = cache["part_neighbors"] = PartScan(topology, labels)
+    return entry
 
 
 # ----------------------------------------------------------------------

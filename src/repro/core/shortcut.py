@@ -101,9 +101,11 @@ class TreeRestrictedShortcut:
     ) -> "TreeRestrictedShortcut":
         """Internal: build from already-canonical tree-edge frozensets.
 
-        The batched kernels emit ``(min, max)`` parent links read
-        straight off the tree arrays, so every subgraph is a frozenset
-        of canonical tree edges by construction; callers take on the
+        The direct and batched kernels emit ``(min, max)`` parent links
+        read straight off the tree arrays, and :meth:`restricted_to`,
+        :meth:`merged_with` and :meth:`empty` only recombine validated
+        subgraphs over one tree, so every subgraph is a frozenset of
+        canonical tree edges by construction; callers take on the
         invariant that :meth:`__init__` would otherwise re-check.
         """
         shortcut = cls.__new__(cls)
@@ -171,7 +173,7 @@ class TreeRestrictedShortcut:
         cls, tree: SpanningTree, partition: Partition
     ) -> "TreeRestrictedShortcut":
         """The trivial shortcut with ``H_i = ∅`` for all parts."""
-        return cls(tree, partition, [frozenset()] * partition.size)
+        return cls._from_canonical(tree, partition, [frozenset()] * partition.size)
 
     def restricted_to(self, keep: Iterable[int]) -> "TreeRestrictedShortcut":
         """Zero out all subgraphs except those in ``keep``.
@@ -184,7 +186,9 @@ class TreeRestrictedShortcut:
             self._subgraphs[i] if i in keep_set else frozenset()
             for i in range(self.size)
         ]
-        return TreeRestrictedShortcut(self.tree, self.partition, subgraphs)
+        return TreeRestrictedShortcut._from_canonical(
+            self.tree, self.partition, subgraphs
+        )
 
     def merged_with(
         self, other: "TreeRestrictedShortcut"
@@ -201,7 +205,9 @@ class TreeRestrictedShortcut:
         subgraphs = [
             self._subgraphs[i] | other._subgraphs[i] for i in range(self.size)
         ]
-        return TreeRestrictedShortcut(self.tree, self.partition, subgraphs)
+        return TreeRestrictedShortcut._from_canonical(
+            self.tree, self.partition, subgraphs
+        )
 
     def as_general(self) -> GeneralShortcut:
         """Forget the tree restriction (Definition 2 ⊆ Definition 1)."""

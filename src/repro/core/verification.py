@@ -49,10 +49,11 @@ def verification(
     of :meth:`PartwiseEngine.count_blocks`.
 
     ``mode="direct"`` computes the identical counts with the
-    union-find kernel of
-    :func:`repro.core.construct_fast.verification_counts_direct` and
-    charges the ledger from the Lemma 3 analytic cost model instead of
-    simulating the supergraph protocol.
+    block-root kernel of
+    :func:`repro.core.construct_fast.verification_counts_direct` (each
+    member keyed by its topmost ancestor-or-self reachable through
+    ``H_i``) and charges the ledger from the Lemma 3 analytic cost
+    model instead of simulating the supergraph protocol.
     """
     from repro.core.construct_fast import (
         charge_verification_model,

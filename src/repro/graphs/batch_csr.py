@@ -283,6 +283,30 @@ class BatchCSR:
             self._member_components = cached
         return cached
 
+    def share_member_components(self, keys, pieces) -> None:
+        """Seed or harvest :meth:`member_components` through ``pieces``.
+
+        ``pieces`` maps an instance key (``keys[b]`` names instance
+        ``b``) to that instance's labelling in instance-local member
+        indices.  ``G[P_i]``'s components depend on the instance alone,
+        so a batch whose instances are all in ``pieces`` assembles its
+        labelling by concatenation; any other batch computes its own
+        and files every instance's share for later batches.
+        """
+        np = require_numpy()
+        _node, _part, member_starts, _inverse = self.member_table()
+        bounds = member_starts[self.part_offsets].tolist()
+        if self._member_components is None and all(key in pieces for key in keys):
+            self._member_components = np.concatenate(
+                [pieces[key] + bounds[b] for b, key in enumerate(keys)]
+                or [np.empty(0, dtype=np.int64)]
+            )
+            return
+        component = self.member_components()
+        for b, key in enumerate(keys):
+            if key not in pieces:
+                pieces[key] = component[bounds[b] : bounds[b + 1]] - bounds[b]
+
 
 def _offsets(np, counts):
     """``[0, c0, c0+c1, ...]`` — the ragged offset table of counts."""
@@ -567,18 +591,6 @@ def segment_sum(np, values, offsets):
     return out
 
 
-#: Once the scan's active set shrinks below this fraction of its
-#: starting population, still-active small segments are handed to the
-#: bit-parallel straggler kernel — the last few high-pass-count
-#: segments would otherwise each charge a whole near-empty level loop
-#: per extra pass.
-HANDOFF_FRACTION = 64
-
-#: Largest segment (in clones) eligible for the straggler handoff —
-#: three uint64 words of reach set per node.  Larger stragglers stay
-#: in the scan, whose cost scales with BFS sources, not segment size.
-BIT_SEGMENT_LIMIT = 192
-
 #: Largest max-degree for which the scan's BFS levels use the padded
 #: ELL adjacency (one 2-D gather per level).  Beyond it — hub-style
 #: segments with one high-degree center — the overfetch of
@@ -586,12 +598,101 @@ BIT_SEGMENT_LIMIT = 192
 #: and the CSR gather path is used instead.
 ELL_DEGREE_LIMIT = 16
 
-#: The scan switches from one BFS source per segment per pass to two
-#: once fewer than ``initial / PAIR_FRACTION`` segments remain active.
-#: Early passes are wide — their cost is gather bandwidth, which a
-#: second source would double — while tail passes are dominated by
-#: fixed per-level call overhead, which pairing halves.
-PAIR_FRACTION = 8
+
+def _first_best(np, keys, nodes, counts, total):
+    """Per run of ``counts`` consecutive entries, the lowest of ``nodes``
+    holding the run's largest key; ``total`` for an empty run.
+
+    One ``maximum.reduceat`` over ``key * (total + 1) + (total - node)``
+    picks the largest key and, among ties, the smallest node.
+    """
+    out = np.full(len(counts), total, dtype=np.int64)
+    nonempty = counts > 0
+    if keys.size:
+        heads = (np.cumsum(counts) - counts)[nonempty]
+        best = np.maximum.reduceat(keys * (total + 1) + (total - nodes), heads)
+        out[nonempty] = total - best % (total + 1)
+    return out
+
+
+class _Adjacency:
+    """A local graph for lockstep BFS: padded ELL rows when the max
+    degree is at most :data:`ELL_DEGREE_LIMIT`, CSR otherwise.
+
+    ELL padding points at the sentinel slot ``n`` (one past the
+    nodes), whose distance the BFS pins at 0 so one mask drops pads
+    and visited nodes alike.
+    """
+
+    __slots__ = ("n", "ell", "indptr", "indices")
+
+    def __init__(self, np, indptr, indices):
+        self.n = len(indptr) - 1
+        self.indptr, self.indices, self.ell = indptr, indices, None
+        degrees = indptr[1:] - indptr[:-1]
+        maxdeg = int(degrees.max()) if len(degrees) else 0
+        if 0 < maxdeg <= ELL_DEGREE_LIMIT:
+            # Row-major so each frontier node's slots gather contiguously.
+            self.ell = np.full((self.n, maxdeg), self.n, dtype=np.int64)
+            row = np.repeat(np.arange(self.n, dtype=np.int64), degrees)
+            slot = np.arange(len(indices), dtype=np.int64) - indptr[row]
+            self.ell[row, slot] = indices
+
+    def copies(self, np, origin, shift):
+        """The disjoint union of node copies: copy ``x`` is node
+        ``origin[x]``, and its neighbors are ``origin[x]``'s shifted by
+        ``shift[x]`` (one shift per copied segment, so edges stay
+        inside a copy)."""
+        copy = _Adjacency.__new__(_Adjacency)
+        copy.n = len(origin)
+        if self.ell is not None:
+            rows = self.ell[origin]
+            copy.ell = np.where(rows == self.n, copy.n, rows + shift[:, None])
+            copy.indptr = copy.indices = None
+            return copy
+        degrees = self.indptr[origin + 1] - self.indptr[origin]
+        copy.ell = None
+        copy.indptr = _offsets(np, degrees)
+        slots = np.arange(int(copy.indptr[-1]), dtype=np.int64) + np.repeat(
+            self.indptr[origin] - copy.indptr[:-1], degrees
+        )
+        copy.indices = self.indices[slots] + np.repeat(shift, degrees)
+        return copy
+
+    def bfs(self, np, dist, stamp, frontier):
+        """Expand every source in ``frontier`` (at distance 0) level by
+        level, writing hop counts into ``dist`` where it holds ``-1``;
+        sources in different segments never meet, so one lockstep pass
+        is one BFS per segment."""
+        level = 0
+        while frontier.size:
+            if self.ell is not None:
+                found = self.ell.take(frontier, axis=0).ravel()
+            else:
+                base = self.indptr.take(frontier)
+                degrees = self.indptr.take(frontier + 1) - base
+                slot_count = int(degrees.sum())
+                if not slot_count:
+                    return
+                shift = np.cumsum(degrees) - degrees - base
+                slots = np.arange(slot_count, dtype=np.int64) - np.repeat(
+                    shift, degrees
+                )
+                found = self.indices.take(slots)
+            # ``take``/``compress`` rather than fancy and boolean
+            # indexing: the same gathers without the general indexing
+            # machinery, which dominates at frontier sizes.
+            found = found.compress(dist.take(found) < 0)
+            if not found.size:
+                return
+            level += 1
+            dist[found] = level
+            # Dedupe without sorting: scatter each candidate's position,
+            # keep the one whose write survived.  Stale stamp slots are
+            # never read — only just-written indices are gathered back.
+            pos = np.arange(found.size, dtype=np.int64)
+            stamp[found] = pos
+            frontier = found.compress(stamp.take(found) == pos)
 
 
 def bounded_diameter_batch(np, indptr, indices, starts):
@@ -603,19 +704,22 @@ def bounded_diameter_batch(np, indptr, indices, starts):
     per segment, ``-1`` where a segment is disconnected.
 
     Every segment runs the same exact eccentricity-bounding scan as
-    the per-instance :func:`bounded_diameter` — widest-upper and
-    smallest-lower BFS sources, interval updates, candidate kills —
-    except that all still-active segments step their BFS frontiers
-    together, one vectorized gather per level, and every pass compacts
-    its working set to the segments still converging.  Each pass runs
-    *two* sources per segment at once (the widest-upper and the
-    smallest-lower candidate) in a duplicated virtual node space, so
-    the number of lockstep level loops is halved.  Once only a
-    straggling few segments remain, the small ones are finished by
-    :func:`_diameter_bits` instead — a high-pass-count straggler would
-    otherwise charge a whole near-empty level loop per extra pass.
-    Both kernels are exact, so the result matches looping
-    :func:`bounded_diameter` per segment.
+    the per-instance :func:`bounded_diameter` — sources alternating
+    between the widest upper and the smallest lower bound, interval
+    updates, candidate kills — except that all still-active segments
+    step their BFS frontiers together, one vectorized gather per
+    level.  Between passes only the alive candidates are touched: they
+    and their bounds live in compact segment-contiguous arrays that
+    shrink with every kill.
+
+    The scan kills few candidates per pass on near-symmetric segments
+    (cycles, tori), whose tail would cost one near-empty lockstep pass
+    per kill.  So once one BFS from *every* remaining candidate costs
+    at most half the node visits of the first pass, the scan stops and
+    runs exactly that: one lockstep pass over a private copy of its
+    segment per candidate.  A killed node's eccentricity never exceeds
+    the best one already seen, so the diameter is the larger of that
+    and the candidates' eccentricities.
     """
     starts = np.asarray(starts, dtype=np.int64)
     segments = len(starts) - 1
@@ -625,219 +729,113 @@ def bounded_diameter_batch(np, indptr, indices, starts):
     if not total:
         return diameter
     seg_of = np.repeat(np.arange(segments, dtype=np.int64), sizes)
+    graph = _Adjacency(np, indptr, indices)
 
     infinity = 2 * int(sizes.max()) + 2
-    lower = np.zeros(total, dtype=np.int64)
-    upper = np.full(total, infinity, dtype=np.int64)
-    alive = sizes[seg_of] > 1  # singleton segments are done at 0
     worst = np.zeros(segments, dtype=np.int64)
-    # Two BFS sources per segment per pass: the widest-upper candidate
-    # (``source_a``) and the smallest-lower one (``source_b``) expand
-    # simultaneously in a duplicated virtual node space — node ``v`` of
-    # copy B is slot ``v + total`` — halving the lockstep level loops.
-    source_a = np.where(sizes > 1, starts[:-1], -1)
-    source_b = np.where(sizes > 1, starts[1:] - 1, -1)
-    # One sentinel slot past both copies: ELL padding points there and
-    # its distance is pinned >= 0, so one mask drops pads and visited.
-    pad = 2 * total
-    dist = np.empty(pad + 1, dtype=np.int64)
-    dist[pad] = 0
-    stamp = np.empty(pad, dtype=np.int64)
+    # The next BFS source per segment: the widest-upper candidate and
+    # the smallest-lower one; passes alternate between the two.
+    upper_source = starts[:-1].copy()
+    lower_source = starts[1:] - 1
+    dist = np.empty(total + 1, dtype=np.int64)
+    dist[total] = 0  # the ELL padding sentinel
+    stamp = np.empty(total, dtype=np.int64)
 
-    degrees_all = indptr[1:] - indptr[:-1]
-    maxdeg = int(degrees_all.max()) if len(degrees_all) else 0
-    ell = None
-    if 0 < maxdeg <= ELL_DEGREE_LIMIT:
-        # Row-major so each frontier node's slots gather contiguously.
-        ell = np.full((total, maxdeg), pad, dtype=np.int64)
-        for k in range(maxdeg):
-            rows = np.flatnonzero(degrees_all > k)
-            ell[rows, k] = indices[indptr[rows] + k]
-        ell = np.concatenate([ell, np.where(ell == pad, pad, ell + total)])
-        v_indptr = indptr
-        v_indices = indices
-    else:
-        v_indices = np.concatenate([indices, indices + total])
-        v_indptr = np.concatenate([indptr, indptr[1:] + len(indices)])
-
-    active = np.flatnonzero(source_a >= 0)
-    initial_active = max(int(active.size), 1)
+    # Singleton segments are done at 0.  ``nodes`` holds every node of
+    # the active segments; ``cand`` the alive candidates among them,
+    # with their eccentricity bounds ``lower``/``upper`` alongside.
+    active = np.flatnonzero(sizes > 1)
+    nodes = np.flatnonzero(sizes[seg_of] > 1)
+    cand = nodes
+    lower = np.zeros(cand.size, dtype=np.int64)
+    upper = np.full(cand.size, infinity, dtype=np.int64)
+    rank_of = np.empty(segments, dtype=np.int64)
+    first_pass = True
     pick_upper = True
     while active.size:
         count = len(active)
         asz = sizes[active]
         heads = np.cumsum(asz) - asz
-        nsel = (
-            np.arange(int(asz.sum()), dtype=np.int64)
-            - np.repeat(heads, asz)
-            + np.repeat(starts[:-1][active], asz)
-        )
-        paired = count * PAIR_FRACTION <= initial_active
 
         # One synchronized BFS pass: every active segment expands from
-        # its source — from both its sources at once in the tail; a
-        # level step is one gather over all frontiers of both copies.
-        dist[nsel] = -1
-        if paired:
-            dist[nsel + total] = -1
-            frontier = np.concatenate(
-                [source_a[active], source_b[active] + total]
-            )
-        elif pick_upper:
-            frontier = source_a[active]
-        else:
-            frontier = source_b[active]
+        # its source.
+        dist[nodes] = -1
+        frontier = (upper_source if pick_upper else lower_source)[active]
         dist[frontier] = 0
-        level = 0
-        while frontier.size:
-            if ell is not None:
-                cand = ell[frontier].ravel()
-            else:
-                base = v_indptr[frontier]
-                degrees = v_indptr[frontier + 1] - base
-                slot_count = int(degrees.sum())
-                if not slot_count:
-                    break
-                shift = np.cumsum(degrees) - degrees - base
-                slots = np.arange(slot_count, dtype=np.int64) - np.repeat(
-                    shift, degrees
-                )
-                cand = v_indices[slots]
-            cand = cand[dist[cand] < 0]
-            if not cand.size:
-                break
-            level += 1
-            dist[cand] = level
-            # Dedupe without sorting: scatter each candidate's position,
-            # keep the one whose write survived.  Stale stamp slots are
-            # never read — only just-written indices are gathered back.
-            pos = np.arange(cand.size, dtype=np.int64)
-            stamp[cand] = pos
-            frontier = cand[stamp[cand] == pos]
+        graph.bfs(np, dist, stamp, frontier)
 
-        # Pass-end accounting: dist[nsel] is segment-contiguous (nsel
-        # concatenates the active segments' node ranges in rank order),
-        # so eccentricities and reach counts are segmented reductions
-        # instead of per-level scatters.
-        bounds = np.append(heads, nsel.size)
-        d_a = dist[nsel]
-        ecc_a = segment_max(np, d_a, bounds, empty=0)
-        top_ecc = ecc_a
-        if paired:
-            d_b = dist[nsel + total]
-            ecc_b = segment_max(np, d_b, bounds, empty=0)
-            top_ecc = np.maximum(ecc_a, ecc_b)
-        reached = segment_sum(np, (d_a >= 0).astype(np.int64), bounds)
-        ok = reached == asz
-        if not ok.all():
-            dead = active[~ok]
-            diameter[dead] = -1
-            source_a[dead] = -1
-        best_ecc = np.maximum(worst[active], np.where(ok, top_ecc, 0))
+        # ``nodes`` concatenates the active segments' node ranges in
+        # rank order, so eccentricities are one segmented reduction.
+        reach = dist.take(nodes)
+        ecc = np.maximum.reduceat(reach, heads)
+        rank_of[active] = np.arange(count, dtype=np.int64)
+        if first_pass:
+            # Connectivity is settled by the first BFS of each segment.
+            first_pass = False
+            connected = np.minimum.reduceat(reach, heads) >= 0
+            if not connected.all():
+                diameter[active[~connected]] = -1
+                keep = connected[rank_of[seg_of[cand]]]
+                cand, lower, upper = cand[keep], lower[keep], upper[keep]
+                nodes = nodes[np.repeat(connected, asz)]
+                active, asz, ecc = active[connected], asz[connected], ecc[connected]
+                count = len(active)
+                rank_of[active] = np.arange(count, dtype=np.int64)
 
-        # Interval updates for alive nodes of still-connected segments,
-        # folding in every expanded source's distance vector at once.
-        node_rank = np.repeat(np.arange(count, dtype=np.int64), asz)
-        keep = alive[nsel] & ok[node_rank]
-        touched = nsel[keep]
-        rank = node_rank[keep]
-        da = d_a[keep]
-        ea = ecc_a[rank]
-        low = np.maximum(lower[touched], np.maximum(da, ea - da))
-        up = np.minimum(upper[touched], ea + da)
-        if paired:
-            db = d_b[keep]
-            eb = ecc_b[rank]
-            np.maximum(low, np.maximum(db, eb - db), out=low)
-            np.minimum(up, eb + db, out=up)
-        lower[touched] = low
-        upper[touched] = up
+        # Interval updates for the alive candidates; a still-active
+        # segment always keeps at least one, so every run is nonempty.
+        rank = rank_of.take(seg_of.take(cand))
+        d = dist.take(cand)
+        e = ecc.take(rank)
+        np.maximum(lower, np.maximum(d, e - d), out=lower)
+        np.minimum(upper, e + d, out=upper)
         # Lower bounds can push the best-known eccentricity before the
         # kill check, as in the per-segment scan.
-        lower_best = np.zeros(count, dtype=np.int64)
-        np.maximum.at(lower_best, rank, low)
-        best_ecc = np.maximum(best_ecc, np.where(ok, lower_best, 0))
+        runs = np.bincount(rank, minlength=count)
+        best_ecc = np.maximum(worst[active], ecc)
+        if cand.size:
+            np.maximum(
+                best_ecc,
+                np.maximum.reduceat(lower, np.cumsum(runs) - runs),
+                out=best_ecc,
+            )
         worst[active] = best_ecc
-        kill = (up <= best_ecc[rank]) | (low == up)
-        alive[touched[kill]] = False
-
-        # Next source pair per active segment: widest upper bound and
-        # smallest lower bound; first index breaks ties.
-        survivor = touched[~kill]
-        survivor_rank = rank[~kill]
-        key_u = up[~kill]
-        key_l = infinity - low[~kill]
-        best_u = np.full(count, -1, dtype=np.int64)
-        np.maximum.at(best_u, survivor_rank, key_u)
-        best_l = np.full(count, -1, dtype=np.int64)
-        np.maximum.at(best_l, survivor_rank, key_l)
-        first_u = np.full(count, total, dtype=np.int64)
-        is_u = key_u == best_u[survivor_rank]
-        np.minimum.at(first_u, survivor_rank[is_u], survivor[is_u])
-        first_l = np.full(count, total, dtype=np.int64)
-        is_l = key_l == best_l[survivor_rank]
-        np.minimum.at(first_l, survivor_rank[is_l], survivor[is_l])
-        still = (source_a[active] >= 0) & (first_u < total)
-        source_a[active] = np.where(still, first_u, -1)
-        source_b[active] = np.where(still, first_l, -1)
-        if not paired:
-            pick_upper = not pick_upper
+        survive = (upper > best_ecc[rank]) & (lower != upper)
+        cand, lower, upper = cand[survive], lower[survive], upper[survive]
+        runs = np.bincount(rank[survive], minlength=count)
+        still = runs > 0
+        nodes = nodes[np.repeat(still, asz)]
         active = active[still]
+        if 2 * int(runs @ asz) <= total:
+            break
 
-        if active.size and active.size * HANDOFF_FRACTION <= initial_active:
-            # Straggler handoff: small segments still converging finish
-            # by bit-parallel all-pairs BFS in one go (exact, and cheap
-            # now that only a few segments remain); large ones keep
-            # scanning.
-            hand = sizes[active] <= BIT_SEGMENT_LIMIT
-            if hand.any():
-                handoff = active[hand]
-                pick = np.zeros(segments, dtype=bool)
-                pick[handoff] = True
-                sub_indptr, sub_indices, sub_starts = _extract_segments(
-                    np, indptr, indices, starts, pick
-                )
-                diameter[handoff] = _diameter_bits(
-                    np, sub_indptr, sub_indices, sub_starts
-                )
-                # Exact values: shield them from the final lower-bound
-                # merge by lifting worst to the answer.
-                worst[handoff] = diameter[handoff]
-                active = active[~hand]
+        # Next sources per segment: widest upper bound and smallest
+        # lower bound; the lowest node breaks ties.
+        runs = runs[still]
+        upper_source[active] = _first_best(np, upper, cand, runs, total)
+        lower_source[active] = _first_best(np, infinity - lower, cand, runs, total)
+        pick_upper = not pick_upper
+
+    if cand.size:
+        # The finishing pass: one BFS per remaining candidate, each in
+        # its own copy of the candidate's segment.
+        home = starts[seg_of[cand]]
+        copy_sizes = sizes[seg_of[cand]]
+        copy_starts = _offsets(np, copy_sizes)
+        shift = copy_starts[:-1] - home
+        origin = np.arange(int(copy_starts[-1]), dtype=np.int64) - np.repeat(
+            shift, copy_sizes
+        )
+        copies = graph.copies(np, origin, np.repeat(shift, copy_sizes))
+        copy_dist = np.full(copies.n + 1, -1, dtype=np.int64)
+        copy_dist[copies.n] = 0
+        sources = cand + shift
+        copy_dist[sources] = 0
+        copies.bfs(np, copy_dist, np.empty(copies.n, dtype=np.int64), sources)
+        ecc = np.maximum.reduceat(copy_dist[:-1], copy_starts[:-1])
+        np.maximum.at(worst, seg_of[cand], ecc)
     np.maximum(diameter, np.where(diameter >= 0, worst, -1), out=diameter)
     return diameter
-
-
-def _extract_segments(np, indptr, indices, starts, pick):
-    """Renumbered sub-CSR of the segments selected by boolean ``pick``."""
-    sizes = starts[1:] - starts[:-1]
-    seg_of = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    node_mask = pick[seg_of]
-    sel_nodes = np.flatnonzero(node_mask)
-    new_id = np.empty(int(starts[-1]), dtype=np.int64)
-    new_id[sel_nodes] = np.arange(len(sel_nodes), dtype=np.int64)
-    degrees = indptr[1:] - indptr[:-1]
-    sub_indptr = _offsets(np, degrees[sel_nodes])
-    sub_indices = new_id[indices[np.repeat(node_mask, degrees)]]
-    sub_starts = _offsets(np, sizes[pick])
-    return sub_indptr, sub_indices, sub_starts
-
-
-def _ell_slots(np, indptr, indices):
-    """ELL-style adjacency slots: ``(rows, k-th neighbor)`` per degree slot.
-
-    Each slot pairs the nodes of degree > k with their k-th adjacency
-    entry, so a whole BFS step is one plain vectorized op per slot —
-    rows are unique within a slot, which makes fancy ``|=`` exact.
-    """
-    degrees = indptr[1:] - indptr[:-1]
-    if not len(indices):
-        return []
-    slots = []
-    for k in range(int(degrees.max())):
-        rows = np.flatnonzero(degrees > k)
-        slots.append((rows, indices[indptr[rows] + k]))
-    return slots
 
 
 def popcount_rows(np, words):
@@ -853,54 +851,3 @@ def popcount_rows(np, words):
     x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
     x = (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
     return x.sum(axis=1, dtype=np.int64)
-
-
-def _diameter_bits(np, indptr, indices, starts):
-    """Bit-parallel all-pairs BFS diameter of every (small) segment.
-
-    Each node carries its reach set as segment-local uint64 words; one
-    step ORs every node's neighbors' reach sets into its own, and a
-    node's eccentricity is the first step at which its reach set spans
-    its whole segment.  A reach set that stabilizes short of full
-    coverage certifies its segment disconnected (``-1``).  Exact, and
-    sized for the scan's straggler handoff: a handful of segments of
-    at most :data:`BIT_SEGMENT_LIMIT` nodes each.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    segments = len(starts) - 1
-    sizes = starts[1:] - starts[:-1]
-    total = int(starts[-1])
-    if not total:
-        return np.zeros(segments, dtype=np.int64)
-    seg_of = np.repeat(np.arange(segments, dtype=np.int64), sizes)
-    local = np.arange(total, dtype=np.int64) - starts[:-1][seg_of]
-    words = (int(sizes.max()) + 63) >> 6
-
-    reach = np.zeros((total, words), dtype=np.uint64)
-    reach[np.arange(total), local >> 6] = np.left_shift(
-        np.uint64(1), (local & 63).astype(np.uint64)
-    )
-    target = sizes[seg_of]
-    ecc = np.full(total, -1, dtype=np.int64)
-    done = target == 1  # singleton segments have eccentricity 0
-    ecc[done] = 0
-    slots = _ell_slots(np, indptr, indices)
-    step = 0
-    while not done.all():
-        step += 1
-        # One BFS step: OR each node's neighbors' reach sets into a
-        # fresh buffer, one vectorized pass per adjacency slot (rows
-        # are unique within a slot, so fancy |= is safe).
-        grown = reach.copy()
-        for rows, neighbors in slots:
-            grown[rows] |= reach[neighbors]
-        if np.array_equal(grown, reach):
-            # Stabilized: every not-done node is disconnected from part
-            # of its segment.
-            bad = segment_min(np, ecc, starts, empty=0) < 0
-            return np.where(bad, -1, segment_max(np, ecc, starts, empty=0))
-        reach = grown
-        newly = ~done & (popcount_rows(np, reach) == target)
-        ecc[newly] = step
-        done |= newly
-    return segment_max(np, ecc, starts, empty=0)

@@ -22,6 +22,7 @@ from repro.core.partwise_fast import (
     convergecast_rounds,
     subtree_messages,
 )
+from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.tree_routing import broadcast, convergecast, make_task
 from repro.graphs import generators, partitions
 from repro.graphs.spanning_trees import SpanningTree
@@ -139,3 +140,112 @@ def test_each_schedule_is_replayed_once_per_engine(name, monkeypatch):
     other.block_aggregate({v: -v for v in other.block_of}, "max")
     assert replays["convergecast"] == 2
     assert len(replays["broadcast"]) == len(set(participating)) + 1
+
+
+# ----------------------------------------------------------------------
+# The direct min-flood on the contracted supergraph
+# ----------------------------------------------------------------------
+
+# Part 0 is the path 0..8 with three blocks {0,1,2} - {3,4,5} - {6,7,8}
+# (a supergraph path), part 1 the path 9..11 with an empty H_1 (three
+# singleton blocks).  Each block holds intra-block part edges, so the
+# exchange's per-edge message count differs from a per-block-pair one.
+PATH_H0 = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (7, 8)]
+
+
+def _path_shortcut():
+    topology = generators.path(12)
+    tree = SpanningTree.bfs(topology, 0)
+    partition = partitions.Partition(12, [range(9), range(9, 12)])
+    return topology, TreeRestrictedShortcut(tree, partition, [PATH_H0, []])
+
+
+def _both_backends(topology, shortcut, call):
+    """``(result, ledger records)`` of ``call(engine)`` per backend."""
+    runs = []
+    for backend in ("simulate", "direct"):
+        engine = PartwiseEngine(
+            topology, shortcut, seed=3, ledger=RoundLedger(), backend=backend
+        )
+        runs.append((call(engine), engine.ledger.records))
+    return runs
+
+
+def test_path_supergraph_has_three_blocks_per_part():
+    topology, shortcut = _path_shortcut()
+    engine = PartwiseEngine(topology, shortcut, backend="direct")
+    assert sorted(engine.tasks) == [(0, 0), (0, 3), (0, 6), (1, 9), (1, 10), (1, 11)]
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 3])
+@pytest.mark.parametrize(
+    "values",
+    [
+        {v: 100 - v for v in range(12)},
+        {v: 100 - v for v in range(9)},  # part 1 all None
+        {v: None for v in range(12)},
+        {},
+    ],
+    ids=["both-parts", "part1-none", "all-none", "empty"],
+)
+def test_minimum_per_part_direct_matches_simulate(values, iterations):
+    topology, shortcut = _path_shortcut()
+    (sim, sim_ledger), (direct, direct_ledger) = _both_backends(
+        topology, shortcut, lambda engine: engine.minimum_per_part(values, iterations)
+    )
+    assert direct == sim
+    assert list(direct) == list(sim)
+    assert direct_ledger == sim_ledger
+    if iterations == 1 and values.get(8) is not None:
+        # Two supersteps short of the far block: partial minima remain.
+        assert direct[0] == 95 and direct[8] == 92
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 3])
+def test_broadcast_from_leaders_direct_matches_simulate(iterations):
+    topology, shortcut = _path_shortcut()
+    leader_values = {8: 7, 9: 4}
+    (sim, sim_ledger), (direct, direct_ledger) = _both_backends(
+        topology,
+        shortcut,
+        lambda engine: engine.broadcast_from_leaders(leader_values, iterations),
+    )
+    assert direct == sim
+    assert direct_ledger == sim_ledger
+
+
+def test_boruvka_singleton_phase_direct_matches_simulate():
+    topology = generators.grid(5, 5)
+    tree = SpanningTree.bfs(topology, 0)
+    shortcut = TreeRestrictedShortcut.empty(tree, partitions.singletons(topology))
+
+    def phase(engine):
+        leaders, knowledge = engine.elect_leaders(1)
+        spread = engine.broadcast_from_leaders(
+            {v: (7 * v) % 25 for v in leaders.values()}, 1
+        )
+        negated = engine.minimum_per_part({v: -v for v in range(25)}, 1)
+        return leaders, knowledge, spread, negated
+
+    (sim, sim_ledger), (direct, direct_ledger) = _both_backends(
+        topology, shortcut, phase
+    )
+    assert direct == sim
+    assert direct_ledger == sim_ledger
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_minimum_per_part_direct_matches_simulate_on_families(name):
+    engine = _engine(name)
+    b_bound = max(1, quality.block_parameter(engine.shortcut))
+    rng = random.Random(name)
+    values = {
+        v: rng.randrange(50) if rng.random() < 0.3 else None for v in engine.block_of
+    }
+    (sim, sim_ledger), (direct, direct_ledger) = _both_backends(
+        engine.topology,
+        engine.shortcut,
+        lambda e: [e.minimum_per_part(values, k) for k in (0, 1, b_bound)],
+    )
+    assert direct == sim
+    assert direct_ledger == sim_ledger
