@@ -1,4 +1,4 @@
-"""E14–E18, E21, E22 — every fast twin timed against its reference twin.
+"""E14–E18, E22 — every fast twin timed against its reference twin.
 
 One benchmark per twin-throughput experiment: it runs the experiment's
 rows of :data:`repro.bench.ROWS` (the runner raises if a fast twin's

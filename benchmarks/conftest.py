@@ -12,7 +12,7 @@ repro.bench_twins.v1 schema
 ---------------------------
 
 ``python -m repro.bench <row|all> --out PATH`` writes the
-twin-throughput record of E14–E18, E21 and E22 (one row per fast twin
+twin-throughput record of E14–E18 and E22 (one row per fast twin
 timed against its reference twin; the rows live in
 :data:`repro.bench.ROWS`).  A JSON object with:
 

@@ -939,7 +939,7 @@ def run_e13(scale: str = "small") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# E14–E18, E21, E22 — twin-throughput workloads
+# E14–E18, E22 — twin-throughput workloads
 # ----------------------------------------------------------------------
 #
 # These experiments check no claim of the paper: they are the rows of
@@ -1126,28 +1126,13 @@ def instance_families(scale: str) -> List[Tuple[str, InstanceSpec]]:
     ]
 
 
-def batch_grid(scale: str) -> List[InstanceSpec]:
-    """The E21 instance grid: one same-family seed sweep.
-
-    Paper scale is 128 grids of side 12 with 8-part voronoi partitions
-    — the production shape ROADMAP item 5 targets (a parameter sweep of
-    similar mid-size instances, where amortizing *across* instances
-    pays); small scale keeps CI in fractions of a second.
-    """
-    count, side = (128, 12) if scale == "paper" else (24, 8)
-    return [
-        InstanceSpec("grid", (side, side), partition=("voronoi", 8, 3 + index))
-        for index in range(count)
-    ]
-
-
 def e22_grid(scale: str) -> List[InstanceSpec]:
     """The E22 ladder grid: a mixed-family seed sweep.
 
-    Unlike E21's fixed-``(c, b)`` pipeline, the doubling ladder climbs
-    a different number of rungs per instance, so the grid deliberately
-    mixes families and partition seeds — ragged rung counts are what
-    the ladder's active-set compaction exploits.
+    The doubling ladder climbs a different number of rungs per
+    instance, so the grid deliberately mixes families and partition
+    seeds — ragged rung counts are what the ladder's active-set
+    compaction exploits.
     """
     if scale == "paper":
         count, side = 16, 24
@@ -1920,7 +1905,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[[str], ExperimentResult]] = {
     "E18": partial(_run_twins, "E18"),
     "E19": run_e19,
     "E20": run_e20,
-    "E21": partial(_run_twins, "E21"),
     "E22": partial(_run_twins, "E22"),
     "E23": run_e23,
 }

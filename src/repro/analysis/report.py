@@ -40,7 +40,7 @@ quantitative content is the set of theorems and lemmas below; each
 experiment regenerates one of them on the CONGEST simulator and reports
 the measured quantity against the claimed bound.  The experiment index
 lives in ``repro.analysis.experiments`` (one ``run_eXX`` per claim,
-wrapped by ``benchmarks/bench_eXX_*.py``).  E14–E18, E21 and E22 check
+wrapped by ``benchmarks/bench_eXX_*.py``).  E14–E18 and E22 check
 no paper claim: they are the rows of ``repro.bench`` (wrapped by
 ``benchmarks/bench_twins.py``, run alone with ``python -m repro.bench``),
 which time each fast twin — simulator engine, quality kernel,

@@ -5,7 +5,7 @@ outputs must be ``==``-identical to its reference twin's (the
 differential suites under ``tests/`` are the spec).  Each row of
 :data:`ROWS` times the two twins on fixed workload families and
 re-checks that equality on every family, so no speedup is ever taken
-on a diverging fast path.  The experiments E14–E18, E21 and E22 are
+on a diverging fast path.  The experiments E14–E18 and E22 are
 these rows; they check no claim of the paper.
 
 One runner serves every row: the best-of-N wall time of each twin, the
@@ -16,7 +16,7 @@ its pass bars per scale; rows without gates are report-only.
 
 Command line::
 
-    python -m repro.bench <E14|E15|E16|E17|E18|E21|E22|all> \\
+    python -m repro.bench <E14|E15|E16|E17|E18|E22|all> \\
         --scale small|paper [--gate] [--out PATH]
 
 prints each experiment's table, writes the ``repro.bench_twins.v1``
@@ -37,7 +37,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
     app_families,
-    batch_grid,
     construct_families,
     e22_grid,
     engine_families,
@@ -50,7 +49,7 @@ from repro.apps.mst import kruskal_reference, minimum_spanning_tree
 from repro.congest.randomness import mix
 from repro.congest.simulator import Simulator
 from repro.core import quality
-from repro.core.batch import find_shortcut_doubling_batch, measure_batch, run_pipeline
+from repro.core.batch import find_shortcut_doubling_batch, measure_batch
 from repro.core.doubling import find_shortcut_doubling
 from repro.core.existence import greedy_capped_shortcut
 from repro.graphs.batch_csr import numpy_available
@@ -240,7 +239,7 @@ def _describe_pool(pool, reports) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# E16 — construction modes; E16 and E21 sweeps through the fused pipeline
+# E16 — construction modes
 # ----------------------------------------------------------------------
 
 
@@ -278,38 +277,6 @@ def _describe_construction(case, outcome) -> Dict[str, Any]:
         "trials": len(outcome.trials),
         "iterations": outcome.result.iterations,
     }
-
-
-def _sweep(name: str, specs: Sequence):
-    """A whole instance sweep as one family."""
-    return [(f"{name}[{len(specs)}]", specs)]
-
-
-def _pipeline_grid(scale: str):
-    """The head of the E21 sweep, small enough to run beside E16."""
-    return _sweep("grid-batch", batch_grid(scale)[: 16 if scale == "paper" else 6])
-
-
-def _hydrate_sweep(family):
-    name, specs = family
-    instances = [hydrate(spec) for spec in specs]
-    return (
-        name,
-        [instance.topology for instance in instances],
-        [instance.tree for instance in instances],
-        [instance.partition for instance in instances],
-    )
-
-
-def _pipeline(strategy: str, case):
-    _name, topologies, trees, partitions = case
-    return run_pipeline(
-        topologies, trees, partitions, 3, [3] * len(topologies), batch=strategy
-    )
-
-
-def _describe_sweep(case, _outputs) -> Dict[str, Any]:
-    return _sizes(case[1], case[3])
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +378,22 @@ def _describe_instance(_family, instance) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 
 
+def _sweep(name: str, specs: Sequence):
+    """A whole instance sweep as one family."""
+    return [(f"{name}[{len(specs)}]", specs)]
+
+
+def _hydrate_sweep(family):
+    name, specs = family
+    instances = [hydrate(spec) for spec in specs]
+    return (
+        name,
+        [instance.topology for instance in instances],
+        [instance.tree for instance in instances],
+        [instance.partition for instance in instances],
+    )
+
+
 def _ladder(strategy: str, case):
     _name, topologies, trees, partitions = case
     seeds = [mix(22, index) for index in range(len(topologies))]
@@ -503,15 +486,6 @@ ROWS: Tuple[TwinRow, ...] = (
         "the speedup.",
     ),
     TwinRow(
-        "E16", "construction batch grid", "loop", "vector",
-        families=_pipeline_grid, prepare=_hydrate_sweep, twins=_strategies,
-        run=_pipeline, check=_check_batch("the pipeline grid"),
-        describe=_describe_sweep, repeats=2,
-        notes="The grid-batch row (report-only) runs a same-family sweep "
-        "through the fused construct → measure → verify pipeline: its wall "
-        "columns hold the loop and vector strategies.",
-    ),
-    TwinRow(
         "E17", "application (MST)", "simulate", "direct",
         families=app_families, twins=_mst_backends, run=_mst,
         check=_check_backends, describe=_describe_mst, repeats=2,
@@ -533,18 +507,6 @@ ROWS: Tuple[TwinRow, ...] = (
         "of one experiment grid: reference rebuilds against one cold "
         "hydrate plus cache hits.  The last family (largest grid, unique "
         "weights) anchors the speedup.",
-    ),
-    TwinRow(
-        "E21", "batch-kernel grid", "loop", "vector",
-        families=lambda scale: _sweep("grid/voronoi", batch_grid(scale)),
-        prepare=_hydrate_sweep, twins=_strategies, run=_pipeline,
-        check=_check_batch("grid instances"), describe=_describe_sweep,
-        gates=_BATCH_GATES,
-        claim="vectorized batch kernels amortize the fast stack across whole "
-        "instance grids",
-        notes="One fused construct → measure → verify pass over the whole "
-        "grid per strategy; vector packs every instance into one BatchCSR "
-        "and never materializes per-instance shortcut objects.",
     ),
     TwinRow(
         "E22", "batched doubling-ladder", "loop", "vector",

@@ -69,13 +69,9 @@ from repro.core.core_fast import (
 from repro.core.verification import VerificationOutcome, verification
 from repro.core.batch import (
     BATCHES,
-    PipelineResult,
-    core_slow_batch,
     get_default_batch,
     measure_batch,
-    run_pipeline,
     using_batch,
-    verification_batch,
 )
 from repro.core.construct_fast import (
     MODES,
@@ -135,13 +131,9 @@ __all__ = [
     "VerificationOutcome",
     "verification",
     "BATCHES",
-    "PipelineResult",
-    "core_slow_batch",
     "get_default_batch",
     "measure_batch",
-    "run_pipeline",
     "using_batch",
-    "verification_batch",
     "MODES",
     "construct_mode_parameter",
     "get_default_mode",

@@ -1,24 +1,25 @@
 """Vectorized batch kernels — amortize the fast stack across instances.
 
-Every fast path of PRs 1–5 (engine, quality kernels, direct
-construction, direct backends, array-native instances) is per-instance
-Python over flat arrays; the experiment grids and the shortcut service
-both run thousands of *similar* instances.  This module adds the sixth
-selection axis, ``batch=``, mirroring ``engine=`` / ``kernel=`` /
-``mode=`` / ``backend=``:
+The per-instance fast paths (engine, quality kernels, direct
+construction, direct backends, array-native instances) are Python over
+flat arrays, one instance at a time; the experiment grids and the
+shortcut service both run many *similar* instances.  This module adds
+the sixth selection axis, ``batch=``, mirroring ``engine=`` /
+``kernel=`` / ``mode=`` / ``backend=``:
 
 * ``batch="loop"`` (default) runs the existing per-instance kernels in
   a Python loop — the executable reference for the batch layer, and
   the only choice when numpy is absent;
 * ``batch="vector"`` packs a whole batch into one
-  :class:`~repro.graphs.batch_csr.BatchCSR` /
-  :class:`~repro.graphs.batch_csr.ShortcutPack` and computes the same
-  quantities in single numpy ops over the concatenation.
+  :class:`~repro.graphs.batch_csr.BatchCSR` (plus a
+  :class:`~repro.graphs.batch_csr.ShortcutPack` to measure) and
+  computes the same quantities in single numpy ops over the
+  concatenation.
 
 Entry points take ``batch=``; ``None`` uses the :data:`BATCH` axis,
 which :func:`using_batch` sets for a block on the current thread only.
-
-The vectorized twins cover the hottest per-instance kernels:
+There are two: :func:`measure_batch` and the Appendix A doubling
+search :func:`find_shortcut_doubling_batch`.  Their vectorized twins:
 
 * **block counts** (:func:`block_counts_batch`) — the per-part
   union-find of :func:`repro.core.quality_fast.block_counts` becomes
@@ -35,38 +36,32 @@ The vectorized twins cover the hottest per-instance kernels:
   :func:`repro.graphs.batch_csr.bounded_diameter_batch`: every
   communication subgraph advances the same exact scan, all of them in
   lockstep, one vectorized gather per BFS level;
-* **the Algorithm 1 upward sweep** (:func:`core_slow_batch`) — the
-  bottom-up id-counting recurrence of
+* **the ladder's rungs** (:func:`_find_shortcut_wave`) — the
+  Algorithm 1 upward sweep of
   :func:`repro.core.construct_fast._upward_sweep` becomes a
-  level-synchronous pass: BFS-tree parents sit exactly one level up,
-  so each depth's merge of forwarded id sets is one
-  :func:`numpy.unique` over ``node * P + id`` keys, and the
-  ``done``/``seal`` round recurrence scatters with ``maximum.at``;
-* **verification block counts** (:func:`verification_counts_batch`) —
-  the per-part block-root walks and component merges of
-  :func:`repro.core.construct_fast.verification_counts_direct` become
-  pointer jumping (blocks) plus min-label propagation (communication
-  components) over the member subspace.  One verdict reduction
-  (:func:`_verdict_counts`) serves both callers: a packed shortcut
-  keys blocks by clone roots, while the doubling ladder keys them by
-  the node forest of its flood (:func:`_forest_counts`) and never
-  packs its tentative shortcuts.  The part-internal components never
-  change between shortcuts, so they are built once per
-  :class:`~repro.graphs.batch_csr.BatchCSR`.
+  level-synchronous pass (:func:`_upward_sweep_batch`): BFS-tree
+  parents sit exactly one level up, so each depth's merge of forwarded
+  id sets is one :func:`numpy.unique` over ``node * P + id`` keys, and
+  the ``done``/``seal`` round recurrence scatters with ``maximum.at``.
+  The Phase B flood is a lockstep bitset replay
+  (:func:`_flood_up_batch`), and Verification reads each member's
+  block off the flood's node forest (:func:`_forest_counts`) and
+  reduces verdicts over the cached part-internal components
+  (:func:`_verdict_counts`); the tentative shortcuts are never packed.
 
 Equivalence contract
 --------------------
 
 ``batch="vector"`` reproduces the per-instance loop **bit-for-bit**:
 identical :class:`~repro.core.quality.QualityReport` fields (plain
-Python ints, never numpy scalars), identical verification count maps
-including the reference's set-reduction corner case, identical
-:class:`~repro.core.core_slow.CoreOutcome` edge maps / unusable sets /
-rounds / messages, and the same :class:`~repro.errors.ShortcutError`
-on the first disconnected communication subgraph in loop order.  The
-differential suite in ``tests/core/test_batch_equivalence.py`` and the
-property suite in ``tests/properties/test_prop_batch.py`` enforce it,
-exactly as every prior fast path is licensed.
+Python ints, never numpy scalars), identical doubling trials, good
+histories, shortcuts and ledgers, and the same
+:class:`~repro.errors.ShortcutError` on the first disconnected
+communication subgraph in loop order.  The differential suite in
+``tests/core/test_batch_equivalence.py`` and the property suites in
+``tests/properties/test_prop_batch.py`` and
+``tests/properties/test_prop_batch_construct.py`` enforce it, exactly
+as every other fast path is licensed.
 
 numpy is optional (the ``fast-math`` extra): selecting ``"vector"``
 without numpy raises the install-hint error of
@@ -77,22 +72,12 @@ without numpy raises the install-hint error of
 from __future__ import annotations
 
 import math
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axes import Axis
 from repro.congest.randomness import draw_shared_seed, mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
-from repro.core.core_slow import CoreOutcome
 from repro.core.quality import QualityReport
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
@@ -126,61 +111,20 @@ resolve_batch = BATCH.resolve
 
 
 # ----------------------------------------------------------------------
-# Packing helpers
+# Quality kernels
 # ----------------------------------------------------------------------
-
-
-def pack_batch(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-) -> BatchCSR:
-    """Pack ``(topology, tree, partition)`` triples into one batch."""
-    return BatchCSR(topologies, trees, partitions)
 
 
 def pack_shortcuts(
-    shortcuts: Sequence[TreeRestrictedShortcut],
-    topologies: Sequence[Topology],
-    *,
-    batch: Optional[BatchCSR] = None,
+    shortcuts: Sequence[TreeRestrictedShortcut], topologies: Sequence[Topology]
 ) -> ShortcutPack:
-    """Pack shortcuts (with their trees/partitions) over topologies.
-
-    Pass a prebuilt ``batch`` to reuse its packed arrays (the caller
-    guarantees it was built from the same shortcuts' trees/partitions).
-    """
-    if batch is None:
-        batch = BatchCSR(
-            topologies,
-            [shortcut.tree for shortcut in shortcuts],
-            [shortcut.partition for shortcut in shortcuts],
-        )
+    """Pack shortcuts (with their trees/partitions) over topologies."""
+    batch = BatchCSR(
+        topologies,
+        [shortcut.tree for shortcut in shortcuts],
+        [shortcut.partition for shortcut in shortcuts],
+    )
     return ShortcutPack(batch, shortcuts)
-
-
-def _block_root_pointer(np, pack: ShortcutPack):
-    """Root of every clone in the ``H_i`` block forest (pointer jumping).
-
-    Each ``(part, child)`` clone has at most one outgoing tree edge, so
-    the block structure is a functional forest and the per-instance
-    kernels' union-find (quality) and block-root walk (verification)
-    collapse to one pointer-jump fixpoint.
-    Memoized on the pack — the quality and verification kernels share
-    one batch's roots.
-    """
-    roots = pack._block_roots
-    if roots is None:
-        pointer = np.arange(len(pack.clone_part), dtype=np.int64)
-        pointer[pack.h_child_clone] = pack.h_parent_clone
-        roots = pointer_jump(np, pointer)
-        pack._block_roots = roots
-    return roots
-
-
-# ----------------------------------------------------------------------
-# Quality kernels
-# ----------------------------------------------------------------------
 
 
 def block_counts_batch(pack: ShortcutPack) -> List[List[int]]:
@@ -188,7 +132,12 @@ def block_counts_batch(pack: ShortcutPack) -> List[List[int]]:
     :func:`repro.core.quality_fast.block_counts`."""
     np = require_numpy()
     batch = pack.batch
-    roots = _block_root_pointer(np, pack)[pack.member_clone]
+    # Each (part, child) clone has at most one outgoing tree edge, so
+    # the block structure is a functional forest: one pointer-jump
+    # fixpoint replaces the per-part union-find.
+    pointer = np.arange(len(pack.clone_part), dtype=np.int64)
+    pointer[pack.h_child_clone] = pack.h_parent_clone
+    roots = pointer_jump(np, pointer)[pack.member_clone]
     distinct = np.unique(roots)
     counts = np.bincount(pack.clone_part[distinct], minlength=batch.p_total)
     return [
@@ -266,24 +215,17 @@ def dilation_batch(pack: ShortcutPack) -> List[int]:
 
 
 def measure_batch_vector(
-    shortcuts: Optional[Sequence[TreeRestrictedShortcut]],
-    topologies: Optional[Sequence[Topology]],
+    shortcuts: Sequence[TreeRestrictedShortcut],
+    topologies: Sequence[Topology],
     *,
     with_dilation: bool = True,
-    pack: Optional[ShortcutPack] = None,
 ) -> List[QualityReport]:
     """One :class:`QualityReport` per instance, vectorized.
 
     Bit-identical to ``[quality.measure(s, t) for s, t in zip(...)]``;
-    all report fields are plain Python ints.  Pass a prebuilt ``pack``
-    (over the same shortcuts/topologies) to amortize packing with other
-    batch kernels, e.g. a verification pass sharing the clone table;
-    ``shortcuts`` / ``topologies`` may then be ``None`` (the pack
-    already carries everything, including array-native packs without
-    shortcut objects).
+    all report fields are plain Python ints.
     """
-    if pack is None:
-        pack = pack_shortcuts(shortcuts, topologies)
+    pack = pack_shortcuts(shortcuts, topologies)
     counts = block_counts_batch(pack)
     congestions = congestion_batch(pack)
     shortcut_congestions = shortcut_congestion_batch(pack)
@@ -338,26 +280,8 @@ def measure_batch(
 
 
 # ----------------------------------------------------------------------
-# Verification kernel
+# The ladder's Verification, read off the node forest
 # ----------------------------------------------------------------------
-
-
-def verification_counts_batch(
-    pack: ShortcutPack, b_limits: Sequence[int]
-) -> List[Dict[int, Optional[int]]]:
-    """Per-instance verification count maps — batch twin of
-    :func:`repro.core.construct_fast.verification_counts_direct`.
-
-    Blocks root by pointer jumping over the clone table; the verdict
-    reduction is :func:`_verdict_counts`, shared with the ladder.
-    """
-    np = require_numpy()
-    if len(b_limits) != pack.batch.size:
-        raise ShortcutError(
-            f"expected {pack.batch.size} b_limits, got {len(b_limits)}"
-        )
-    roots = _block_root_pointer(np, pack)[pack.member_clone]
-    return _verdict_counts(np, pack.batch, roots, b_limits)
 
 
 def _verdict_counts(
@@ -409,9 +333,6 @@ def _verdict_counts(
     results: List[Dict[int, Optional[int]]] = []
     for b in range(batch.size):
         p0, p1 = int(batch.part_offsets[b]), int(batch.part_offsets[b + 1])
-        if limits[b] < 1:
-            results.append({index: None for index in range(p1 - p0)})
-            continue
         n0 = int(batch.node_offsets[b])
         per_part: Dict[int, Optional[int]] = {}
         for local, part in enumerate(range(p0, p1)):
@@ -461,95 +382,9 @@ def _forest_counts(
     return _verdict_counts(np, batch, member_part * n + block, b_limits)
 
 
-def verification_batch(
-    topologies: Sequence[Topology],
-    shortcuts: Sequence[TreeRestrictedShortcut],
-    b_limits: Sequence[int],
-    *,
-    consider: Optional[Sequence[Optional[Iterable[int]]]] = None,
-    seed: int = 0,
-    ledgers: Optional[Sequence[Optional[RoundLedger]]] = None,
-    mode: Optional[str] = None,
-    batch: Optional[str] = None,
-) -> List["VerificationOutcome"]:
-    """Batch-axis entry point of :func:`repro.core.verification.verification`.
-
-    ``batch="loop"`` (the default) runs the per-instance subroutine
-    with the selected ``mode``; ``batch="vector"`` computes every
-    instance's count map in one vectorized pass — the batch twin of
-    ``mode="direct"``, charging ledgers from the same Lemma 3 analytic
-    cost model (``mode`` does not apply to it).  Outcomes match the
-    loop bit-for-bit.
-    """
-    from repro.core.verification import VerificationOutcome, verification
-
-    size = len(shortcuts)
-    if len(topologies) != size or len(b_limits) != size:
-        raise ShortcutError(
-            f"expected {size} topologies and b_limits, got "
-            f"{len(topologies)} and {len(b_limits)}"
-        )
-    consider_list = list(consider) if consider is not None else [None] * size
-    ledger_list = list(ledgers) if ledgers is not None else [None] * size
-    if resolve_batch(batch) != "vector":
-        return [
-            verification(
-                topology,
-                shortcut,
-                int(limit),
-                consider=allowed,
-                seed=seed,
-                ledger=ledger,
-                mode=mode,
-            )
-            for topology, shortcut, limit, allowed, ledger in zip(
-                topologies, shortcuts, b_limits, consider_list, ledger_list
-            )
-        ]
-    from repro.core.construct_fast import charge_verification_model
-
-    pack = pack_shortcuts(shortcuts, topologies)
-    count_maps = verification_counts_batch(pack, b_limits)
-    outcomes = []
-    for topology, shortcut, limit, allowed, ledger, counts in zip(
-        topologies, shortcuts, b_limits, consider_list, ledger_list, count_maps
-    ):
-        charge_verification_model(ledger, topology, shortcut, int(limit))
-        considered = (
-            set(allowed) if allowed is not None else set(range(shortcut.size))
-        )
-        good = frozenset(
-            index
-            for index, count in counts.items()
-            if index in considered and count is not None and count <= int(limit)
-        )
-        outcomes.append(
-            VerificationOutcome(
-                good_parts=good, counts=counts, b_limit=int(limit)
-            )
-        )
-    return outcomes
-
-
 # ----------------------------------------------------------------------
 # Algorithm 1 upward sweep (CoreSlow)
 # ----------------------------------------------------------------------
-
-
-def _c_list(size: int, cs: Union[int, Sequence[int]]) -> List[int]:
-    """Broadcast / validate per-instance congestion parameters."""
-    if isinstance(cs, int):
-        c_list = [cs] * size
-    else:
-        c_list = [int(c) for c in cs]
-        if len(c_list) != size:
-            raise ShortcutError(
-                f"expected {size} congestion parameters, got {len(c_list)}"
-            )
-    for c in c_list:
-        if c < 1:
-            raise ShortcutError("congestion parameter c must be >= 1")
-    return c_list
 
 
 def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
@@ -562,10 +397,10 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
     every per-node id-set union one ``np.unique`` over
     ``node * P + id`` keys for the whole level across all instances.
 
-    Returns ``(entry_nodes, entry_ids, group_starts, unusable_nodes,
-    rounds, messages)``: the usable (node, id) pairs grouped per node
-    (ids ascending), the nodes whose parent edge went unusable, and the
-    exact per-instance round/message totals of the streaming program.
+    Returns ``(entry_nodes, entry_ids, unusable_nodes, rounds,
+    messages)``: the usable (node, id) pairs, the nodes whose parent
+    edge went unusable, and the exact per-instance round/message totals
+    of the streaming program.
     """
     total_parts = max(batch.p_total, 1)
     done = np.zeros(batch.n_total, dtype=np.int64)
@@ -632,118 +467,10 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
         np.concatenate(entry_node_chunks) if entry_node_chunks else empty
     )
     entry_ids = np.concatenate(entry_id_chunks) if entry_id_chunks else empty
-    # Group the pairs per node; ids stay ascending inside each group
-    # (each node is processed at exactly one level, already key-sorted).
-    regroup = np.argsort(entry_nodes, kind="stable")
-    entry_nodes = entry_nodes[regroup]
-    entry_ids = entry_ids[regroup]
-    if entry_nodes.size:
-        group_starts = np.flatnonzero(
-            np.concatenate([[True], entry_nodes[1:] != entry_nodes[:-1]])
-        )
-    else:
-        group_starts = empty
     unusable_nodes = (
         np.concatenate(unusable_chunks) if unusable_chunks else empty
     )
-    return entry_nodes, entry_ids, group_starts, unusable_nodes, rounds, messages
-
-
-def core_slow_batch(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-    cs: Union[int, Sequence[int]],
-    *,
-    participating: Optional[Sequence[Optional[Iterable[int]]]] = None,
-    ledgers: Optional[Sequence[Optional[RoundLedger]]] = None,
-    batch: Optional[BatchCSR] = None,
-) -> List[CoreOutcome]:
-    """Batch twin of :func:`repro.core.construct_fast.core_slow_direct`.
-
-    ``cs`` is one congestion parameter per instance (or one shared
-    int); ``participating`` optionally restricts each instance to a
-    subset of part ids, as in the per-instance kernel.  Outputs,
-    rounds, and messages are all bit-identical to looping
-    ``core_slow_direct`` over the instances, and ledgers (when given)
-    receive the same ``core-slow`` phase charges.  A prebuilt ``batch``
-    over the same triples skips repacking.
-    """
-    np = require_numpy()
-    if batch is None:
-        batch = BatchCSR(topologies, trees, partitions)
-    c_list = _c_list(batch.size, cs)
-
-    own = batch.labels.copy()
-    if participating is not None:
-        for b, allowed in enumerate(participating):
-            if allowed is None:
-                continue
-            n0, n1 = int(batch.node_offsets[b]), int(batch.node_offsets[b + 1])
-            base = int(batch.part_offsets[b])
-            allowed_global = np.asarray(
-                sorted(base + int(index) for index in allowed), dtype=np.int64
-            )
-            segment = own[n0:n1]
-            own[n0:n1] = np.where(
-                np.isin(segment, allowed_global), segment, -1
-            )
-
-    caps = 2 * np.asarray(c_list, dtype=np.int64)
-    entry_nodes, entry_ids, group_starts, unusable_nodes, rounds, messages = (
-        _upward_sweep_batch(np, batch, own, caps)
-    )
-
-    # Scatter the flat sweep results back into per-instance objects.
-    # Everything tuple-shaped is computed as arrays first (instance,
-    # local endpoints, canonical edge, part-localized ids) and lowered
-    # to Python lists once, leaving only dict fills in the loop.
-    edge_maps: List[Dict] = [{} for _ in range(batch.size)]
-    heads = entry_nodes[group_starts]
-    head_instance = batch.instance_of_node[heads]
-    head_base = batch.node_offsets[head_instance]
-    head_v = heads - head_base
-    head_p = batch.tree_parent[heads] - head_base
-    edge_lo = np.minimum(head_v, head_p).tolist()
-    edge_hi = np.maximum(head_v, head_p).tolist()
-    local_ids = (
-        entry_ids - batch.part_offsets[batch.instance_of_part[entry_ids]]
-    ).tolist()
-    bounds = group_starts.tolist() + [len(local_ids)]
-    for g, b in enumerate(head_instance.tolist()):
-        edge_maps[b][(edge_lo[g], edge_hi[g])] = tuple(
-            local_ids[bounds[g] : bounds[g + 1]]
-        )
-
-    unusable_sets: List[set] = [set() for _ in range(batch.size)]
-    if unusable_nodes.size:
-        u_instance = batch.instance_of_node[unusable_nodes]
-        u_base = batch.node_offsets[u_instance]
-        u_v = unusable_nodes - u_base
-        u_p = batch.tree_parent[unusable_nodes] - u_base
-        u_lo = np.minimum(u_v, u_p).tolist()
-        u_hi = np.maximum(u_v, u_p).tolist()
-        for index, b in enumerate(u_instance.tolist()):
-            unusable_sets[b].add((u_lo[index], u_hi[index]))
-
-    outcomes = []
-    for b in range(batch.size):
-        shortcut = TreeRestrictedShortcut.from_edge_map(
-            batch.trees[b], batch.partitions[b], edge_maps[b]
-        )
-        if ledgers is not None and ledgers[b] is not None:
-            ledgers[b].charge_phase(
-                "core-slow", int(rounds[b]), int(messages[b])
-            )
-        outcomes.append(
-            CoreOutcome(
-                shortcut=shortcut,
-                unusable=frozenset(unusable_sets[b]),
-                rounds=int(rounds[b]),
-                messages=int(messages[b]),
-            )
-        )
-    return outcomes
+    return entry_nodes, entry_ids, unusable_nodes, rounds, messages
 
 
 # ----------------------------------------------------------------------
@@ -1100,7 +827,7 @@ def _find_shortcut_wave(
             else None
         )
 
-        entry_nodes, entry_ids, _g, unusable_nodes, rounds_a, messages_a = (
+        entry_nodes, entry_ids, unusable_nodes, rounds_a, messages_a = (
             _upward_sweep_batch(
                 np, sub, own_active if use_fast else own_all, caps
             )
@@ -1189,129 +916,6 @@ def _find_shortcut_wave(
             acc[active[k]][part - int(sub.part_offsets[k])].update(
                 zip(lo[head:end], hi[head:end])
             )
-
-
-def find_shortcut_batch(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-    cs: Union[int, Sequence[int]],
-    bs: Union[int, Sequence[int]],
-    *,
-    use_fast: bool = True,
-    seeds: Union[int, Sequence[int]] = 0,
-    shared_seeds=None,
-    gamma: float = 2.0,
-    max_iterations=None,
-    ledgers: Optional[Sequence[Optional[RoundLedger]]] = None,
-    warm_starts: Optional[Sequence] = None,
-    mode: Optional[str] = None,
-    return_errors: bool = False,
-    batch: Optional[str] = None,
-) -> List:
-    """Batch-axis entry point of :func:`repro.core.find_shortcut.find_shortcut`.
-
-    ``batch="loop"`` (the default) runs the per-instance construction
-    with the selected ``mode``; ``batch="vector"`` runs the lockstep
-    wave driver — the batch twin of ``mode="direct"``, with active-set
-    compaction across instances per iteration (``mode`` does not apply
-    to it).  Results, good histories, ledgers, and failure states match
-    the direct-mode loop bit-for-bit.
-
-    Each entry of the returned list is a
-    :class:`~repro.core.find_shortcut.FindShortcutResult`; with
-    ``return_errors=True`` a failed instance contributes its
-    :class:`~repro.errors.ConstructionFailedError` value instead (the
-    doubling driver's food), otherwise the first failure (in instance
-    order) is raised.
-    """
-    from repro.core.construct_fast import share_randomness_cost
-    from repro.core.find_shortcut import default_iteration_limit, find_shortcut
-    from repro.errors import ConstructionFailedError
-
-    size = len(topologies)
-    if len(trees) != size or len(partitions) != size:
-        raise ShortcutError(
-            f"expected {size} trees and partitions, got "
-            f"{len(trees)} and {len(partitions)}"
-        )
-    c_list = _c_list(size, cs)
-    b_list = _c_list(size, bs)
-    seed_list = _broadcast(size, seeds, 0)
-    shared_list = _broadcast(size, shared_seeds, None)
-    limit_list = _broadcast(size, max_iterations, None)
-    ledger_list = list(ledgers) if ledgers is not None else [None] * size
-    warm_list = list(warm_starts) if warm_starts is not None else [None] * size
-    if len(ledger_list) != size or len(warm_list) != size:
-        raise ShortcutError(
-            f"expected {size} ledgers and warm starts, got "
-            f"{len(ledger_list)} and {len(warm_list)}"
-        )
-
-    if resolve_batch(batch) != "vector":
-        results: List = []
-        for i in range(size):
-            try:
-                results.append(
-                    find_shortcut(
-                        topologies[i],
-                        trees[i],
-                        partitions[i],
-                        c_list[i],
-                        b_list[i],
-                        use_fast=use_fast,
-                        seed=seed_list[i],
-                        shared_seed=shared_list[i],
-                        gamma=gamma,
-                        max_iterations=limit_list[i],
-                        ledger=ledger_list[i],
-                        mode=mode,
-                        warm_start=warm_list[i],
-                    )
-                )
-            except ConstructionFailedError as error:
-                if not return_errors:
-                    raise
-                results.append(error)
-        return results
-
-    np = require_numpy()
-    ledger_vec = [
-        ledger if ledger is not None else RoundLedger(barrier_depth=trees[i].height)
-        for i, ledger in enumerate(ledger_list)
-    ]
-    limit_vec = [
-        limit if limit is not None else default_iteration_limit(partitions[i].size)
-        for i, limit in enumerate(limit_list)
-    ]
-    shared_vec = list(shared_list)
-    if use_fast:
-        for i in range(size):
-            if shared_vec[i] is None:
-                shared_vec[i] = draw_shared_seed(topologies[i].n, seed_list[i])
-                rounds, messages = share_randomness_cost(
-                    topologies[i].n, trees[i].height
-                )
-                ledger_vec[i].charge_phase("share-randomness", rounds, messages)
-    results = _find_shortcut_wave(
-        np,
-        topologies,
-        trees,
-        partitions,
-        c_list,
-        b_list,
-        use_fast=use_fast,
-        shared_seeds=shared_vec,
-        gamma=gamma,
-        limits=limit_vec,
-        ledgers=ledger_vec,
-        warm_starts=warm_list,
-    )
-    if not return_errors:
-        for result in results:
-            if isinstance(result, ConstructionFailedError):
-                raise result
-    return results
 
 
 def find_shortcut_doubling_batch(
@@ -1487,130 +1091,6 @@ def find_shortcut_doubling_batch(
     return results
 
 
-# ----------------------------------------------------------------------
-# Fused construct → measure → verify pipeline (the E21 workload)
-# ----------------------------------------------------------------------
-
-
-class PipelineResult(NamedTuple):
-    """Per-instance result of the construct → measure → verify pipeline."""
-
-    report: QualityReport
-    counts: Dict[int, Optional[int]]
-    rounds: int
-    messages: int
-
-
-def pipeline_loop(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-    cs: Union[int, Sequence[int]],
-    b_limits: Sequence[int],
-    *,
-    with_dilation: bool = True,
-) -> List[PipelineResult]:
-    """Per-instance reference pipeline: construct, measure, verify.
-
-    One Algorithm 1 construction, one quality measurement, and one
-    verification count per instance, all through the per-instance fast
-    kernels — the executable reference for
-    :func:`pipeline_batch_vector`, and the grid workload the E21
-    benchmark times.
-    """
-    from repro.core import quality_fast
-    from repro.core.construct_fast import (
-        core_slow_direct,
-        verification_counts_direct,
-    )
-
-    c_list = _c_list(len(topologies), cs)
-    results = []
-    for topology, tree, partition, c, limit in zip(
-        topologies, trees, partitions, c_list, b_limits
-    ):
-        outcome = core_slow_direct(topology, tree, partition, c)
-        report = quality_fast.measure(
-            outcome.shortcut, topology, with_dilation=with_dilation
-        )
-        counts = verification_counts_direct(topology, outcome.shortcut, limit)
-        results.append(
-            PipelineResult(report, counts, outcome.rounds, outcome.messages)
-        )
-    return results
-
-
-def pipeline_batch_vector(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-    cs: Union[int, Sequence[int]],
-    b_limits: Sequence[int],
-    *,
-    with_dilation: bool = True,
-) -> List[PipelineResult]:
-    """Fused batch pipeline — construct, measure, and verify a whole
-    grid without materializing per-instance shortcut objects.
-
-    The Algorithm 1 sweep output (usable ``(node, id)`` pairs) *is* the
-    edge-slot array of the constructed shortcuts, so the quality and
-    verification kernels consume it directly through
-    :meth:`ShortcutPack.from_arrays`; the per-instance loop must round
-    trip the same data through ``TreeRestrictedShortcut`` between each
-    stage.  Reports and count maps are bit-identical to
-    :func:`pipeline_loop` over the same instances.
-    """
-    np = require_numpy()
-    batch = BatchCSR(topologies, trees, partitions)
-    c_list = _c_list(batch.size, cs)
-    caps = 2 * np.asarray(c_list, dtype=np.int64)
-    entry_nodes, entry_ids, _group_starts, _unusable, rounds, messages = (
-        _upward_sweep_batch(np, batch, batch.labels, caps)
-    )
-
-    # Each usable (node, id) pair is one edge slot: part ``id`` uses the
-    # tree edge from ``node`` up to its parent.
-    pack = ShortcutPack.from_arrays(
-        batch,
-        entry_ids,
-        entry_nodes,
-        batch.tree_parent[entry_nodes],
-        batch.tree_edge_ids()[entry_nodes],
-    )
-    reports = measure_batch_vector(
-        None, None, with_dilation=with_dilation, pack=pack
-    )
-    counts = verification_counts_batch(pack, b_limits)
-    return [
-        PipelineResult(
-            reports[b], counts[b], int(rounds[b]), int(messages[b])
-        )
-        for b in range(batch.size)
-    ]
-
-
-def run_pipeline(
-    topologies: Sequence[Topology],
-    trees: Sequence[SpanningTree],
-    partitions: Sequence[Partition],
-    cs: Union[int, Sequence[int]],
-    b_limits: Sequence[int],
-    *,
-    with_dilation: bool = True,
-    batch: Optional[str] = None,
-) -> List[PipelineResult]:
-    """Construct → measure → verify a grid, on the selected batch axis."""
-    if resolve_batch(batch) == "vector":
-        return pipeline_batch_vector(
-            topologies, trees, partitions, cs, b_limits,
-            with_dilation=with_dilation,
-        )
-    return pipeline_loop(
-        topologies, trees, partitions, cs, b_limits,
-        with_dilation=with_dilation,
-    )
-
-
 __all__ = [
     "BATCHES",
     "BATCH",
@@ -1618,7 +1098,6 @@ __all__ = [
     "using_batch",
     "resolve_batch",
     "numpy_available",
-    "pack_batch",
     "pack_shortcuts",
     "block_counts_batch",
     "shortcut_congestion_batch",
@@ -1626,13 +1105,5 @@ __all__ = [
     "dilation_batch",
     "measure_batch",
     "measure_batch_vector",
-    "verification_batch",
-    "verification_counts_batch",
-    "core_slow_batch",
-    "find_shortcut_batch",
     "find_shortcut_doubling_batch",
-    "PipelineResult",
-    "pipeline_loop",
-    "pipeline_batch_vector",
-    "run_pipeline",
 ]

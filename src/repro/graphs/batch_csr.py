@@ -36,7 +36,7 @@ skip on :func:`numpy_available`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.congest.topology import Topology
 from repro.errors import ReproError
@@ -100,11 +100,10 @@ class BatchCSR:
     topologies, trees, partitions:
         The packed source objects, for building per-instance outputs.
 
-    The member table (:meth:`member_table`), the part-internal
-    components (:meth:`member_components`) and the tree edge ids
-    (:meth:`tree_edge_ids`) depend only on the packed triples, so they
-    are built lazily once per batch and shared by every shortcut or
-    ladder iteration over it.
+    The member table (:meth:`member_table`) and the part-internal
+    components (:meth:`member_components`) depend only on the packed
+    triples, so they are built lazily once per batch and shared by
+    every shortcut or ladder iteration over it.
     """
 
     __slots__ = (
@@ -129,7 +128,6 @@ class BatchCSR:
         "topologies",
         "trees",
         "partitions",
-        "_tree_edge_id",
         "_members",
         "_member_components",
     )
@@ -199,37 +197,8 @@ class BatchCSR:
         self.depth_starts = np.searchsorted(
             depth[self.depth_order], np.arange(self.max_depth + 2)
         )
-        self._tree_edge_id = None
         self._members = None
         self._member_components = None
-
-    def tree_edge_ids(self):
-        """Global dense edge id of each node's parent tree edge (-1 at roots).
-
-        Lazily built: one sort of the batch edge keys plus one
-        searchsorted for all parent edges at once.  Lets array-native
-        producers of edge slots (the fused construct → measure → verify
-        pipeline) resolve tree edges to dense ids without touching the
-        per-instance ``edge_ids`` dicts.
-        """
-        cached = self._tree_edge_id
-        if cached is None:
-            np = require_numpy()
-            stride = max(self.n_total, 1)
-            lo = np.minimum(self.edge_u, self.edge_v)
-            hi = np.maximum(self.edge_u, self.edge_v)
-            keys = lo * stride + hi
-            order = np.argsort(keys, kind="stable")
-            nodes = np.arange(self.n_total, dtype=np.int64)
-            parent = self.tree_parent
-            has = parent >= 0
-            nlo = np.minimum(nodes[has], parent[has])
-            nhi = np.maximum(nodes[has], parent[has])
-            pos = np.searchsorted(keys[order], nlo * stride + nhi)
-            cached = np.full(self.n_total, -1, dtype=np.int64)
-            cached[has] = order[pos]
-            self._tree_edge_id = cached
-        return cached
 
     def member_table(self):
         """Covered nodes sorted by (part, node), built once per batch.
@@ -340,10 +309,7 @@ def _np_tree(np, tree: SpanningTree):
 class ShortcutPack:
     """A :class:`BatchCSR` plus one tree-restricted shortcut per instance.
 
-    ``shortcuts`` holds the packed per-instance shortcut objects, or
-    ``None`` for packs built by :meth:`from_arrays` — the array-native
-    path never materializes them, and consumers use the batch's packed
-    trees / partitions instead.
+    ``shortcuts`` holds the packed per-instance shortcut objects.
 
     Attributes (all numpy arrays, global ids)
     -----------------------------------------
@@ -386,7 +352,6 @@ class ShortcutPack:
         "member_part",
         "member_starts",
         "member_clone",
-        "_block_roots",
     )
 
     def member_inverse(self):
@@ -424,42 +389,6 @@ class ShortcutPack:
         deeper = batch.tree_depth[h_u] > batch.tree_depth[h_v]
         self.h_child = np.where(deeper, h_u, h_v)
         self.h_parent = np.where(deeper, h_v, h_u)
-        self._finish(np)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        batch: BatchCSR,
-        h_part,
-        h_child,
-        h_parent,
-        h_edge,
-        shortcuts: Optional[Sequence] = None,
-    ) -> "ShortcutPack":
-        """Build a pack from flat edge-slot arrays (global ids).
-
-        The array-native entry for producers that already hold the
-        assigned slots as arrays — the fused construct → measure →
-        verify pipeline feeds the Algorithm 1 sweep output straight in,
-        skipping Python shortcut materialization entirely.  ``h_child``
-        must be the deeper endpoint of every slot.  ``shortcuts`` may
-        stay ``None``; consumers then fall back to the batch's packed
-        trees / partitions.
-        """
-        np = require_numpy()
-        self = cls.__new__(cls)
-        self.batch = batch
-        self.shortcuts = None if shortcuts is None else tuple(shortcuts)
-        self.h_part = h_part
-        self.h_edge = h_edge
-        self.h_child = h_child
-        self.h_parent = h_parent
-        self._finish(np)
-        return self
-
-    def _finish(self, np) -> None:
-        """Derive the member and clone tables from the edge-slot arrays."""
-        batch = self.batch
 
         # --- members sorted by (part, node), shared with the batch ---
         self.member_node, self.member_part, self.member_starts, _inverse = (
@@ -509,7 +438,6 @@ class ShortcutPack:
         self.h_parent_clone = np.searchsorted(
             clone_keys, self.h_part * stride + self.h_parent
         )
-        self._block_roots = None
 
 
 def pointer_jump(np, pointer):

@@ -134,14 +134,16 @@ def _require_weights(instance: Instance) -> None:
 # ratio, batch of one, n // 16 Voronoi parts, best of 3 per seed and
 # the median over seeds 0-2 (Python 3.11, numpy 2.4, 2-core x86_64):
 #
-#   n = 256    grid 16x16 0.80x   torus 16x16 1.09x   hub 1.06x
-#   n = 512    grid 16x32 1.07x   torus 24x24 1.43x   hub 1.98x
-#   n = 1,024  grid 1.73x         torus 2.19x         hub 3.17x
-#   n = 4,096  grid 2.70x         torus 3.26x         hub 3.97x
+#   n = 256    grid 16x16 0.52x   torus 16x16 0.79x   hub 0.59x
+#   n = 512    grid 16x32 0.67x   torus 24x24 1.14x   hub 0.90x
+#   n = 768    grid 24x32 0.89x   torus 28x28 1.35x   hub 1.10x
+#   n = 1,024  grid 32x32 1.07x   torus 32x32 1.54x   hub 1.37x
+#   n = 4,096  grid 1.93x         torus 2.58x         hub 1.65x
 #
-# (torus 24x24 has n = 576; n = 4,096 is the perfbench construct-cold
-# size.)
-VECTOR_MIN_N = 512
+# (torus 24x24 has n = 576 and 28x28 n = 784; n = 4,096 is the
+# perfbench construct-cold size.)  1,024 is the smallest measured n
+# at which the ladder wins on every family.
+VECTOR_MIN_N = 1024
 
 
 def _build_shortcuts(

@@ -4,7 +4,8 @@ from repro.analysis.experiments import ALL_EXPERIMENTS, run_e01, run_e05
 
 
 def test_registry_complete():
-    assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 24)}
+    # No experiment has the id E21; the others keep their numbers.
+    assert set(ALL_EXPERIMENTS) == {f"E{i}" for i in range(1, 24)} - {"E21"}
 
 
 def test_e01_bounds_hold():

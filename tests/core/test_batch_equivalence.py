@@ -1,10 +1,11 @@
 """Differential suite: ``batch="vector"`` vs the per-instance loop.
 
-Every batched kernel must reproduce the per-instance fast kernels
-**bit-for-bit** over the same instances — the same licensing discipline
-as the engine, kernel, mode, and backend fast paths.  Runs across
-grid / torus / hub / genus_chain families, mixed partition families,
-ragged batches with different ``n`` per instance, and a batch of one.
+Both batch entry points — the quality measurement and the doubling
+ladder — must reproduce the per-instance fast kernels **bit-for-bit**
+over the same instances, the same licensing discipline as the engine,
+kernel, mode, and backend fast paths.  Runs across grid / torus / hub /
+genus_chain families, mixed partition families, ragged batches with
+different ``n`` per instance, and a batch of one.
 """
 
 import pytest
@@ -13,30 +14,18 @@ from repro.analysis.instances import InstanceSpec, hydrate
 from repro.congest.topology import Topology
 from repro.core import quality_fast
 from repro.core.batch import (
-    core_slow_batch,
-    find_shortcut_batch,
     find_shortcut_doubling_batch,
     measure_batch,
     measure_batch_vector,
-    pack_batch,
-    pack_shortcuts,
-    pipeline_batch_vector,
-    pipeline_loop,
-    run_pipeline,
     using_batch,
-    verification_batch,
-    verification_counts_batch,
 )
-from repro.core.construct_fast import (
-    core_slow_direct,
-    verification_counts_direct,
-)
+from repro.core.construct_fast import verification_counts_direct
 from repro.core.doubling import find_shortcut_doubling
 from repro.core.existence import greedy_capped_shortcut
-from repro.core.find_shortcut import find_shortcut
+from repro.core.find_shortcut import ConstructionState, find_shortcut
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ConstructionFailedError, ShortcutError
-from repro.graphs.batch_csr import numpy_available
+from repro.graphs.batch_csr import BatchCSR, numpy_available
 from repro.graphs.csr import bfs_spanning_tree
 from repro.graphs.partitions import Partition
 
@@ -105,70 +94,6 @@ def test_measure_batch_axis_dispatch(ragged):
         assert measure_batch(shortcuts, topologies) == loop
 
 
-@pytest.mark.parametrize(
-    "b_limits", [[2] * 5, [1, 2, 3, 4, 5], [0, 2, 0, 3, 1]]
-)
-def test_verification_counts_identical(ragged, b_limits):
-    topologies, _trees, _partitions, shortcuts = ragged
-    loop = [
-        verification_counts_direct(topology, shortcut, limit)
-        for topology, shortcut, limit in zip(topologies, shortcuts, b_limits)
-    ]
-    pack = pack_shortcuts(shortcuts, topologies)
-    assert verification_counts_batch(pack, b_limits) == loop
-
-
-def test_verification_outcomes_identical(ragged):
-    topologies, _trees, _partitions, shortcuts = ragged
-    consider = [None, {0, 2}, {1}, None, {0, 1, 2}]
-    loop = verification_batch(
-        topologies, shortcuts, [2, 1, 3, 2, 2], consider=consider,
-        mode="direct",
-    )
-    vector = verification_batch(
-        topologies, shortcuts, [2, 1, 3, 2, 2], consider=consider,
-        batch="vector",
-    )
-    assert vector == loop
-
-
-@pytest.mark.parametrize("cs", [1, [2, 1, 3, 2, 1]])
-def test_core_slow_identical(ragged, cs):
-    topologies, trees, partitions, _shortcuts = ragged
-    c_list = [cs] * 5 if isinstance(cs, int) else cs
-    loop = [
-        core_slow_direct(topology, tree, partition, c)
-        for topology, tree, partition, c in zip(
-            topologies, trees, partitions, c_list
-        )
-    ]
-    vector = core_slow_batch(topologies, trees, partitions, cs)
-    for reference, batched in zip(loop, vector):
-        assert batched.shortcut.subgraphs == reference.shortcut.subgraphs
-        assert batched.unusable == reference.unusable
-        assert batched.rounds == reference.rounds
-        assert batched.messages == reference.messages
-
-
-def test_core_slow_participating_subsets_identical(ragged):
-    topologies, trees, partitions, _shortcuts = ragged
-    participating = [None, [0, 2], [1], None, [0, 1, 2]]
-    loop = [
-        core_slow_direct(topology, tree, partition, 2, participating=allowed)
-        for topology, tree, partition, allowed in zip(
-            topologies, trees, partitions, participating
-        )
-    ]
-    vector = core_slow_batch(
-        topologies, trees, partitions, 2, participating=participating
-    )
-    for reference, batched in zip(loop, vector):
-        assert batched.shortcut.subgraphs == reference.shortcut.subgraphs
-        assert batched.unusable == reference.unusable
-        assert batched.rounds == reference.rounds
-        assert batched.messages == reference.messages
-
-
 def test_batch_of_one(ragged):
     topologies, _trees, _partitions, shortcuts = ragged
     assert measure_batch_vector(shortcuts[:1], topologies[:1]) == [
@@ -191,35 +116,6 @@ def test_disconnected_dilation_raises_identically():
     assert str(batch_error.value) == str(loop_error.value)
 
 
-def test_pipeline_identical_and_dispatch(ragged):
-    topologies, trees, partitions, _shortcuts = ragged
-    b_limits = [2, 3, 2, 4, 3]
-    loop = pipeline_loop(topologies, trees, partitions, 2, b_limits)
-    vector = pipeline_batch_vector(topologies, trees, partitions, 2, b_limits)
-    assert vector == loop
-    assert run_pipeline(
-        topologies, trees, partitions, 2, b_limits, batch="vector"
-    ) == loop
-    assert run_pipeline(topologies, trees, partitions, 2, b_limits) == loop
-
-
-def test_grid_seed_sweep_identical():
-    # A same-family grid sweep — the E21 shape — must be bit-identical
-    # through the fused pipeline, including rounds/messages.
-    specs = [
-        InstanceSpec("grid", (6, 6), partition=("voronoi", 4, seed))
-        for seed in range(8)
-    ]
-    instances = [hydrate(spec) for spec in specs]
-    topologies = [instance.topology for instance in instances]
-    trees = [instance.tree for instance in instances]
-    partitions = [instance.partition for instance in instances]
-    loop = pipeline_loop(topologies, trees, partitions, 3, [3] * 8)
-    assert pipeline_batch_vector(
-        topologies, trees, partitions, 3, [3] * 8
-    ) == loop
-
-
 # ----------------------------------------------------------------------
 # Pack edge cases
 # ----------------------------------------------------------------------
@@ -234,7 +130,7 @@ def _single_node_instance():
 
 def test_pack_single_node_zero_edge_instance():
     topology, tree, partition = _single_node_instance()
-    batch = pack_batch([topology], [tree], [partition])
+    batch = BatchCSR([topology], [tree], [partition])
     assert batch.size == 1
     assert batch.n_total == 1
     assert batch.m_total == 0
@@ -243,7 +139,7 @@ def test_pack_single_node_zero_edge_instance():
 
 
 def test_pack_empty_batch():
-    batch = pack_batch([], [], [])
+    batch = BatchCSR([], [], [])
     assert batch.size == 0
     assert batch.n_total == 0
     assert batch.m_total == 0
@@ -315,20 +211,80 @@ def test_ladder_identical_over_ragged_batch(ragged, ragged_seeds):
 
 
 def test_fixed_cb_batch_identical(ragged, ragged_seeds):
+    # Rungs that start at a given (c, b) rather than at (1, 1).
     topologies, trees, partitions, _shortcuts = ragged
     loop = [
-        find_shortcut(t, tr, p, 3, 3, seed=s, mode="direct")
+        find_shortcut_doubling(
+            t, tr, p, seed=s, c_start=3, b_start=3, mode="direct"
+        )
         for t, tr, p, s in zip(topologies, trees, partitions, ragged_seeds)
     ]
-    vector = find_shortcut_batch(
-        topologies, trees, partitions, 3, 3, seeds=ragged_seeds,
-        batch="vector",
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds,
+        c_starts=3, b_starts=3, batch="vector",
     )
     for reference, batched in zip(loop, vector):
-        assert batched.shortcut.subgraphs == reference.shortcut.subgraphs
-        assert batched.iterations == reference.iterations
-        assert batched.good_history == reference.good_history
-        assert batched.ledger == reference.ledger
+        _assert_doubling_equal(reference, batched)
+
+
+@pytest.mark.parametrize("cs", [1, [2, 1, 3, 2, 1]])
+def test_core_slow_identical(ragged, ragged_seeds, cs):
+    # The Algorithm 1 (CoreSlow) sweep at shared and per-instance
+    # starting congestion parameters.
+    topologies, trees, partitions, _shortcuts = ragged
+    c_list = [cs] * 5 if isinstance(cs, int) else cs
+    loop = [
+        find_shortcut_doubling(
+            t, tr, p, seed=s, c_start=c, use_fast=False, mode="direct"
+        )
+        for t, tr, p, s, c in zip(
+            topologies, trees, partitions, ragged_seeds, c_list
+        )
+    ]
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds, c_starts=cs,
+        use_fast=False, batch="vector",
+    )
+    for reference, batched in zip(loop, vector):
+        _assert_doubling_equal(reference, batched)
+
+
+def _states_for(trees, partitions, subsets):
+    """Warm starts whose remaining parts are ``subsets`` (``None``: all);
+    every other part is frozen with an empty subgraph."""
+    return [
+        ConstructionState(
+            remaining=frozenset(
+                range(partition.size) if subset is None else subset
+            ),
+            shortcut=TreeRestrictedShortcut.empty(tree, partition),
+            good_history=(),
+        )
+        for tree, partition, subset in zip(trees, partitions, subsets)
+    ]
+
+
+def test_core_slow_participating_subsets_identical(ragged, ragged_seeds):
+    # The CoreSlow sweep restricted to a subset of each instance's parts.
+    topologies, trees, partitions, _shortcuts = ragged
+    states = _states_for(
+        trees, partitions, [None, [0, 2], [1], None, [0, 1, 2]]
+    )
+    loop = [
+        find_shortcut_doubling(
+            t, tr, p, seed=s, c_start=2, use_fast=False,
+            initial_state=state, mode="direct",
+        )
+        for t, tr, p, s, state in zip(
+            topologies, trees, partitions, ragged_seeds, states
+        )
+    ]
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds, c_starts=2,
+        use_fast=False, initial_states=states, batch="vector",
+    )
+    for reference, batched in zip(loop, vector):
+        _assert_doubling_equal(reference, batched)
 
 
 def test_ladder_use_fast_false_identical(ragged, ragged_seeds):
@@ -379,33 +335,65 @@ def test_ladder_warm_start_identical(ragged, ragged_seeds):
 
 
 def test_ladder_error_path_identical(ragged, ragged_seeds):
-    # A hopeless budget: per-instance errors (message, iteration count,
-    # carried state) must match the loop exactly.
+    # A hopeless budget: one trial at c = b = 1.  The ladder must raise
+    # the loop's exception, type and text.
     topologies, trees, partitions, _shortcuts = ragged
-    loop = find_shortcut_batch(
-        topologies, trees, partitions, 1, 1, seeds=ragged_seeds,
-        max_iterations=1, return_errors=True, mode="direct",
+    with pytest.raises(ConstructionFailedError) as loop_error:
+        find_shortcut_doubling_batch(
+            topologies, trees, partitions, seeds=ragged_seeds,
+            max_trials=1, mode="direct",
+        )
+    with pytest.raises(ConstructionFailedError) as vector_error:
+        find_shortcut_doubling_batch(
+            topologies, trees, partitions, seeds=ragged_seeds,
+            max_trials=1, batch="vector",
+        )
+    assert type(vector_error.value) is type(loop_error.value)
+    assert str(vector_error.value) == str(loop_error.value)
+
+
+def test_ladder_batch_axis_dispatch(ragged, ragged_seeds):
+    # batch= and the thread's using_batch() block both select the
+    # ladder; the default is the per-instance loop.
+    topologies, trees, partitions, _shortcuts = ragged
+    loop = [
+        find_shortcut_doubling(t, tr, p, seed=s, mode="direct")
+        for t, tr, p, s in zip(topologies, trees, partitions, ragged_seeds)
+    ]
+    default = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds, mode="direct"
     )
-    vector = find_shortcut_batch(
-        topologies, trees, partitions, 1, 1, seeds=ragged_seeds,
-        max_iterations=1, return_errors=True, batch="vector",
+    with using_batch("vector"):
+        scoped = find_shortcut_doubling_batch(
+            topologies, trees, partitions, seeds=ragged_seeds
+        )
+    for reference, via_default, via_scope in zip(loop, default, scoped):
+        _assert_doubling_equal(reference, via_default)
+        _assert_doubling_equal(reference, via_scope)
+
+
+def test_grid_seed_sweep_identical():
+    # A same-family grid sweep: every instance shares one topology
+    # object and differs only in its partition.
+    specs = [
+        InstanceSpec("grid", (6, 6), partition=("voronoi", 4, seed))
+        for seed in range(8)
+    ]
+    instances = [hydrate(spec) for spec in specs]
+    topologies = [instance.topology for instance in instances]
+    trees = [instance.tree for instance in instances]
+    partitions = [instance.partition for instance in instances]
+    seeds = list(range(8))
+    loop = [
+        find_shortcut_doubling(t, tr, p, seed=s, c_start=3, b_start=3, mode="direct")
+        for t, tr, p, s in zip(topologies, trees, partitions, seeds)
+    ]
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=seeds, c_starts=3, b_starts=3,
+        batch="vector",
     )
     for reference, batched in zip(loop, vector):
-        assert isinstance(batched, ConstructionFailedError) == isinstance(
-            reference, ConstructionFailedError
-        )
-        if isinstance(reference, ConstructionFailedError):
-            assert str(batched) == str(reference)
-            assert batched.iterations == reference.iterations
-            assert batched.state.remaining == reference.state.remaining
-            assert (
-                batched.state.shortcut.subgraphs
-                == reference.state.shortcut.subgraphs
-            )
-            assert batched.state.good_history == reference.state.good_history
-        else:
-            assert batched.shortcut.subgraphs == reference.shortcut.subgraphs
-            assert batched.ledger == reference.ledger
+        _assert_doubling_equal(reference, batched)
 
 
 # ----------------------------------------------------------------------
@@ -415,21 +403,19 @@ def test_ladder_error_path_identical(ragged, ragged_seeds):
 
 class _ForestProbe:
     """Checks every wave iteration's forest-derived count maps against
-    the clone-table reduction over that iteration's own edge slots.
+    the per-instance count maps of that iteration's own edge slots.
 
     The sweep and flood spies record the tentative shortcut's slots
     (the sweep's usable pairs, or the flood bits of usable nodes, which
-    the flood overwrites when it runs); the forest spy then packs those
-    slots with :meth:`ShortcutPack.from_arrays` and requires
-    ``verification_counts_batch`` to agree map for map, and so must the
-    per-instance ``verification_counts_direct`` on the same slots.
+    the flood overwrites when it runs); the forest spy then requires
+    ``verification_counts_direct`` on a shortcut built from those slots
+    to agree map for map.
     """
 
     def __init__(self, monkeypatch):
         import numpy as np
 
         from repro.core import batch as batch_module
-        from repro.graphs.batch_csr import ShortcutPack
 
         self.iterations = 0
         self.non_remaining = 0
@@ -462,14 +448,6 @@ class _ForestProbe:
         def spy_forest(np_, batch, usable, remaining, b_limits):
             counts = forest(np_, batch, usable, remaining, b_limits)
             nodes, ids = self.slots
-            pack = ShortcutPack.from_arrays(
-                batch,
-                ids,
-                nodes,
-                batch.tree_parent[nodes],
-                batch.tree_edge_ids()[nodes],
-            )
-            assert counts == verification_counts_batch(pack, b_limits)
             assert counts == [
                 verification_counts_direct(
                     batch.topologies[b],
@@ -587,3 +565,48 @@ def test_forest_counts_match_clone_table_warm_start(
     )
     assert forest_probe.iterations > 0
     assert forest_probe.non_remaining > 0
+
+
+@pytest.mark.parametrize(
+    "b_limits", [[2] * 5, [1, 2, 3, 4, 5], [4, 1, 2, 1, 3]]
+)
+def test_verification_counts_identical(
+    ragged, ragged_seeds, forest_probe, b_limits
+):
+    # Per-instance b estimates: every iteration's count maps equal the
+    # per-instance verification counts (the probe), and so do the runs.
+    topologies, trees, partitions, _shortcuts = ragged
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds,
+        b_starts=b_limits, batch="vector",
+    )
+    assert forest_probe.iterations > 0
+    for t, tr, p, s, b, batched in zip(
+        topologies, trees, partitions, ragged_seeds, b_limits, vector
+    ):
+        reference = find_shortcut_doubling(
+            t, tr, p, seed=s, b_start=b, mode="direct"
+        )
+        _assert_doubling_equal(reference, batched)
+
+
+def test_verification_outcomes_identical(ragged, ragged_seeds, forest_probe):
+    # Verification only considers the parts still remaining: warm starts
+    # that leave a subset of each instance's parts to construct.
+    topologies, trees, partitions, _shortcuts = ragged
+    states = _states_for(
+        trees, partitions, [None, {0, 2}, {1}, None, {0, 1, 2}]
+    )
+    b_limits = [2, 1, 3, 2, 2]
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds,
+        b_starts=b_limits, initial_states=states, batch="vector",
+    )
+    assert forest_probe.non_remaining > 0
+    for t, tr, p, s, b, state, batched in zip(
+        topologies, trees, partitions, ragged_seeds, b_limits, states, vector
+    ):
+        reference = find_shortcut_doubling(
+            t, tr, p, seed=s, b_start=b, initial_state=state, mode="direct"
+        )
+        _assert_doubling_equal(reference, batched)

@@ -71,18 +71,21 @@ def ragged_specs(draw):
 @needs_numpy
 @given(data=st.data(), specs=ragged_specs())
 def test_padding_never_leaks_across_instances(data, specs):
-    from repro.core.batch import pipeline_batch_vector
+    from repro.core.batch import measure_batch_vector
+    from repro.core.existence import greedy_capped_shortcut
 
     instances = [hydrate(spec) for spec in specs]
     topologies = [instance.topology for instance in instances]
-    trees = [instance.tree for instance in instances]
-    partitions = [instance.partition for instance in instances]
-    b_limits = data.draw(
+    caps = data.draw(
         st.lists(
             st.integers(1, 4), min_size=len(specs), max_size=len(specs)
         )
     )
-    full = pipeline_batch_vector(topologies, trees, partitions, 2, b_limits)
+    shortcuts = [
+        greedy_capped_shortcut(instance.tree, instance.partition, cap)[0]
+        for instance, cap in zip(instances, caps)
+    ]
+    full = measure_batch_vector(shortcuts, topologies)
 
     picked = data.draw(
         st.lists(
@@ -92,12 +95,9 @@ def test_padding_never_leaks_across_instances(data, specs):
             unique=True,
         )
     )
-    sub = pipeline_batch_vector(
+    sub = measure_batch_vector(
+        [shortcuts[index] for index in picked],
         [topologies[index] for index in picked],
-        [trees[index] for index in picked],
-        [partitions[index] for index in picked],
-        2,
-        [b_limits[index] for index in picked],
     )
     assert sub == [full[index] for index in picked]
 

@@ -78,12 +78,12 @@ def unbatched_answers(requests):
         service.close()
 
 
-# Both sides of the crossover: hub n = 511 / 512, grid n = 256 / 512.
+# Both sides of the crossover: hub n = 1,023 / 1,024, grid n = 512 / 1,024.
 CROSSOVER_SPECS = [
-    ("hub", (510, 8)),
-    ("hub", (511, 8)),
-    ("grid", (16, 16)),
+    ("hub", (1022, 8)),
+    ("hub", (1023, 8)),
     ("grid", (16, 32)),
+    ("grid", (32, 32)),
 ]
 
 
@@ -106,7 +106,7 @@ def test_payload_equals_library_on_both_sides_of_the_crossover(
 
 
 def test_simulate_mode_above_the_crossover_never_climbs_the_ladder(ladder_calls):
-    body = spec_json("hub", (511, 8), 24, 1)
+    body = spec_json("hub", (1023, 8), 24, 1)
     service = ShortcutService(store=None, workers=1)
     try:
         response = service.handle(
@@ -124,7 +124,7 @@ def test_simulate_mode_above_the_crossover_never_climbs_the_ladder(ladder_calls)
 def test_without_numpy_no_ladder_call_and_the_same_payload(
     monkeypatch, ladder_calls
 ):
-    body = spec_json("grid", (16, 32), 24, 2)
+    body = spec_json("grid", (32, 32), 24, 2)
     expected = library_payload("quality", body, 4)
     monkeypatch.setattr(server, "numpy_available", lambda: False)
     service = ShortcutService(store=None, workers=1)
@@ -139,8 +139,8 @@ def test_without_numpy_no_ladder_call_and_the_same_payload(
 
 def test_a_raising_ladder_falls_back_per_instance(monkeypatch):
     requests = [
-        ("shortcut", {"spec": spec_json("grid", (16, 32), 24, 5), "seed": 5}),
-        ("quality", {"spec": spec_json("hub", (511, 8), 24, 6), "seed": 6}),
+        ("shortcut", {"spec": spec_json("grid", (32, 32), 24, 5), "seed": 5}),
+        ("quality", {"spec": spec_json("hub", (1023, 8), 24, 6), "seed": 6}),
     ]
     expected = unbatched_answers(requests)
 
@@ -154,7 +154,7 @@ def test_a_raising_ladder_falls_back_per_instance(monkeypatch):
 
 
 def test_a_raising_ladder_keeps_errors_per_item_in_a_window(monkeypatch):
-    good = {"spec": spec_json("grid", (16, 32), 24, 8), "seed": 8}
+    good = {"spec": spec_json("grid", (32, 32), 24, 8), "seed": 8}
     bad = {"spec": {"family": "grid", "params": [4, 4]}}
     (expected,) = unbatched_answers([("shortcut", good)])
 
@@ -197,8 +197,8 @@ def test_mixed_window_makes_one_ladder_call(ladder_calls):
     # One grid window: two items above the crossover, one below, one
     # simulate item, and one partitionless spec.
     bodies = [
-        {"spec": spec_json("grid", (16, 32), 24, 11), "seed": 11},
-        {"spec": spec_json("grid", (32, 16), 24, 12), "seed": 12},
+        {"spec": spec_json("grid", (32, 32), 24, 11), "seed": 11},
+        {"spec": spec_json("grid", (16, 64), 24, 12), "seed": 12},
         {"spec": spec_json("grid", (16, 16), 16, 13), "seed": 13},
         {"spec": spec_json("grid", (5, 5), 4, 14), "seed": 14, "mode": "simulate"},
         {"spec": {"family": "grid", "params": [4, 4]}},
@@ -215,7 +215,7 @@ def test_mixed_window_makes_one_ladder_call(ladder_calls):
     finally:
         service.close()
 
-    assert ladder_calls == ([[512, 512]] if numpy_available() else [])
+    assert ladder_calls == ([[1024, 1024]] if numpy_available() else [])
     assert [r.status for r in responses] == [200, 200, 200, 200, 422]
     assert [r.body for r in responses] == [r.body for r in expected]
     assert "partition" in responses[4].body["error"]

@@ -33,24 +33,18 @@ def _first(perturb):
     return lambda outputs: [perturb(outputs[0]), *outputs[1:]]
 
 
-def _bump_rounds(result):
-    return result._replace(rounds=result.rounds + 1)
-
-
 # One realistic divergence per row, applied to the fast twin's output.
 PERTURB = {
     "simulator engine": _bump_messages,
     "quality-kernel": _bump_congestion,
     "quality batch pool": _first(_bump_congestion),
     "construction": _drop_last_trial,
-    "construction batch grid": _first(_bump_rounds),
     "application (MST)": lambda result: dataclasses.replace(
         result, phases=result.phases + 1
     ),
     "instance-pipeline": lambda instance: dataclasses.replace(
         instance, tree=SpanningTree.bfs(instance.topology, 1)
     ),
-    "batch-kernel grid": _first(_bump_rounds),
     "batched doubling-ladder": _first(_drop_last_trial),
 }
 
