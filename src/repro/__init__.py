@@ -29,7 +29,6 @@ from repro.errors import (
     ShortcutError,
     SimulationError,
     TopologyError,
-    VerificationError,
 )
 from repro.congest import (
     NodeAlgorithm,
@@ -51,7 +50,6 @@ __all__ = [
     "RoundLimitExceededError",
     "ShortcutError",
     "ConstructionFailedError",
-    "VerificationError",
     "NodeAlgorithm",
     "RoundLedger",
     "RunResult",

@@ -15,8 +15,8 @@ Runners whose instance grids are embarrassingly parallel (E1, E4–E7)
 fan their cells out through
 :func:`repro.analysis.parallel.parallel_map`: set ``REPRO_JOBS=auto``
 (or an explicit worker count) to use multiple processes.  Every task
-carries its own seed and the current engine name, and results merge in
-task order, so the tables are identical at any worker count.  The
+carries its own seed, and results merge in task order, so the tables
+are identical at any worker count.  The
 module-level ``_eXX_task`` functions exist because worker payloads
 must be picklable.
 """
@@ -45,11 +45,6 @@ from repro.apps.mst_baselines import (
     mst_collect_at_root,
     mst_kutten_peleg,
     mst_no_shortcut,
-)
-from repro.congest.engine import (
-    engine_parameter,
-    get_default_engine,
-    using_engine,
 )
 from repro.congest.randomness import mix
 from repro.congest.simulator import Simulator
@@ -159,34 +154,25 @@ def standard_instances(scale: str) -> List[Tuple[str, Topology, "partitions.Part
 
 
 def _e01_task(task):
-    name, spec, engine = task
+    name, spec = task
     instance = hydrate(spec)
     topology, tree, partition = instance.topology, instance.tree, instance.partition
-    with using_engine(engine):
-        point = best_certified(tree, partition)
-        result = find_shortcut(
-            topology, tree, partition, point.congestion, point.block, seed=11
-        )
-        report = quality.measure(result.shortcut, topology, with_dilation=True)
+    point = best_certified(tree, partition)
+    result = find_shortcut(
+        topology, tree, partition, point.congestion, point.block, seed=11
+    )
+    report = quality.measure(result.shortcut, topology, with_dilation=True)
     bound = quality.lemma1_bound(report.block_parameter, tree.height)
     ratio = bound_ratio(report.dilation, bound)
     return (name, tree.height, report.block_parameter, report.dilation, bound, ratio)
 
 
-@engine_parameter
 def run_e01(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E1 (Lemma 1): dilation of constructed shortcuts vs b(2D+1)",
         ["instance", "D", "b", "dilation", "bound", "ratio"],
     )
-    engine = get_default_engine()
-    rows = parallel_map(
-        _e01_task,
-        [
-            (name, spec, engine)
-            for name, spec in standard_instance_specs(scale)
-        ],
-    )
+    rows = parallel_map(_e01_task, standard_instance_specs(scale))
     ratios = []
     for row in rows:
         ratios.append(row[-1])
@@ -205,7 +191,6 @@ def run_e01(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 def run_e02(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E2 (Lemma 2): pipelined convergecast rounds vs D + c",
@@ -248,7 +233,6 @@ def run_e02(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 def run_e03(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E3 (Theorem 2): leader election rounds vs b(D + c)",
@@ -294,49 +278,38 @@ def run_e03(scale: str = "small") -> ExperimentResult:
 
 
 def _e04_task(task):
-    name, spec, engine = task
+    name, spec = task
     instance = hydrate(spec)
     topology, tree, partition = instance.topology, instance.tree, instance.partition
     rows = []
     ratios = []
     all_exact = True
-    with using_engine(engine):
-        point = best_certified(tree, partition)
-        outcome = core_slow(topology, tree, partition, point.congestion, seed=17)
-        report = quality.measure(outcome.shortcut, topology, with_dilation=False)
-        truth = quality_fast.block_counts(outcome.shortcut)
-        for b_limit in {1, max(1, report.block_parameter)}:
-            ledger = RoundLedger()
-            verdict = verification(
-                topology, outcome.shortcut, b_limit, seed=19, ledger=ledger
-            )
-            expected = frozenset(
-                i for i, count in enumerate(truth) if count <= b_limit
-            )
-            exact = verdict.good_parts == expected
-            all_exact = all_exact and exact
-            c = max(1, report.shortcut_congestion)
-            bound = 14 * b_limit * (tree.height + c)
-            ratio = bound_ratio(ledger.total_rounds, bound)
-            ratios.append(ratio)
-            rows.append((name, b_limit, ledger.total_rounds, bound, ratio, exact))
+    point = best_certified(tree, partition)
+    outcome = core_slow(topology, tree, partition, point.congestion, seed=17)
+    report = quality.measure(outcome.shortcut, topology, with_dilation=False)
+    truth = quality_fast.block_counts(outcome.shortcut)
+    for b_limit in {1, max(1, report.block_parameter)}:
+        ledger = RoundLedger()
+        verdict = verification(
+            topology, outcome.shortcut, b_limit, seed=19, ledger=ledger
+        )
+        expected = frozenset(i for i, count in enumerate(truth) if count <= b_limit)
+        exact = verdict.good_parts == expected
+        all_exact = all_exact and exact
+        c = max(1, report.shortcut_congestion)
+        bound = 14 * b_limit * (tree.height + c)
+        ratio = bound_ratio(ledger.total_rounds, bound)
+        ratios.append(ratio)
+        rows.append((name, b_limit, ledger.total_rounds, bound, ratio, exact))
     return rows, ratios, all_exact
 
 
-@engine_parameter
 def run_e04(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E4 (Lemma 3/6): Verification rounds and exactness",
         ["instance", "b_limit", "rounds", "14 b'(D+c)", "ratio", "exact"],
     )
-    engine = get_default_engine()
-    outcomes = parallel_map(
-        _e04_task,
-        [
-            (name, spec, engine)
-            for name, spec in standard_instance_specs(scale)
-        ],
-    )
+    outcomes = parallel_map(_e04_task, standard_instance_specs(scale))
     ratios = []
     all_exact = True
     for rows, task_ratios, task_exact in outcomes:
@@ -360,15 +333,14 @@ def run_e04(scale: str = "small") -> ExperimentResult:
 
 
 def _e05_task(task):
-    name, spec, engine = task
+    name, spec = task
     instance = hydrate(spec)
     topology, tree, partition = instance.topology, instance.tree, instance.partition
-    with using_engine(engine):
-        point = best_certified(tree, partition)
-        c, b = point.congestion, point.block
-        outcome = core_slow(topology, tree, partition, c, seed=23)
-        report = quality.measure(outcome.shortcut, topology, with_dilation=False)
-        counts = quality_fast.block_counts(outcome.shortcut)
+    point = best_certified(tree, partition)
+    c, b = point.congestion, point.block
+    outcome = core_slow(topology, tree, partition, c, seed=23)
+    report = quality.measure(outcome.shortcut, topology, with_dilation=False)
+    counts = quality_fast.block_counts(outcome.shortcut)
     good = sum(1 for count in counts if count <= 3 * b)
     congestion_ok = report.shortcut_congestion <= 2 * c
     good_ok = good >= partition.size / 2
@@ -381,20 +353,12 @@ def _e05_task(task):
     return row, ratio, congestion_ok and good_ok
 
 
-@engine_parameter
 def run_e05(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E5 (Lemma 7): CoreSlow congestion <= 2c, >= N/2 good parts, O(Dc) rounds",
         ["instance", "c", "congestion", "<=2c", "good", "N", ">=N/2", "rounds", "3D(2c+2)", "ratio"],
     )
-    engine = get_default_engine()
-    outcomes = parallel_map(
-        _e05_task,
-        [
-            (name, spec, engine)
-            for name, spec in standard_instance_specs(scale)
-        ],
-    )
+    outcomes = parallel_map(_e05_task, standard_instance_specs(scale))
     ratios = []
     all_ok = True
     for row, ratio, ok in outcomes:
@@ -421,23 +385,21 @@ def _e06_task(task):
     worker hydrates it through its per-process cache, so the instance
     is built (via the array fast paths) once per worker rather than
     pickled once per chunk."""
-    spec, c, b, seed_chunk, engine = task
+    spec, c, b, seed_chunk = task
     instance = hydrate(spec)
     topology, tree, partition = instance.topology, instance.tree, instance.partition
     triples = []
-    with using_engine(engine):
-        for seed in seed_chunk:
-            outcome = core_fast(
-                topology, tree, partition, c, shared_seed=mix(97, seed), seed=seed
-            )
-            report = quality.measure(outcome.shortcut, topology, with_dilation=False)
-            counts = quality_fast.block_counts(outcome.shortcut)
-            good = sum(1 for count in counts if count <= 3 * b)
-            triples.append((report.shortcut_congestion, good, outcome.rounds))
+    for seed in seed_chunk:
+        outcome = core_fast(
+            topology, tree, partition, c, shared_seed=mix(97, seed), seed=seed
+        )
+        report = quality.measure(outcome.shortcut, topology, with_dilation=False)
+        counts = quality_fast.block_counts(outcome.shortcut)
+        good = sum(1 for count in counts if count <= 3 * b)
+        triples.append((report.shortcut_congestion, good, outcome.rounds))
     return triples
 
 
-@engine_parameter
 def run_e06(scale: str = "small", seeds: Optional[Sequence[int]] = None) -> ExperimentResult:
     if seeds is None:
         seeds = range(10 if scale == "small" else 25)
@@ -446,7 +408,6 @@ def run_e06(scale: str = "small", seeds: Optional[Sequence[int]] = None) -> Expe
         "E6 (Lemma 5): CoreFast over seeds: congestion <= 8c, >= N/2 good",
         ["instance", "c", "tau", "max congestion", "<=8c rate", ">=N/2 rate", "max rounds"],
     )
-    engine = get_default_engine()
     # Enough chunks per instance to saturate the workers, few enough
     # that each instance payload is pickled O(jobs) times, not once
     # per seed.  Chunk boundaries never affect the merged output.
@@ -463,7 +424,7 @@ def run_e06(scale: str = "small", seeds: Optional[Sequence[int]] = None) -> Expe
         c, b = point.congestion, point.block
         _p, tau = sampling_parameters(instance.topology.n, c)
         instance_info.append((name, c, tau, instance.partition.size))
-        tasks.extend((spec, c, b, chunk, engine) for chunk in seed_chunks)
+        tasks.extend((spec, c, b, chunk) for chunk in seed_chunks)
     results = parallel_map(_e06_task, tasks)
     per_seed = [triple for task_triples in results for triple in task_triples]
     rates = []
@@ -492,17 +453,16 @@ def run_e06(scale: str = "small", seeds: Optional[Sequence[int]] = None) -> Expe
 
 
 def _e07_task(task):
-    side, engine, mode = task
+    side, mode = task
     spec = InstanceSpec("grid", (side, side), partition=("voronoi", side, 4))
     instance = hydrate(spec)
     topology, tree, partition = instance.topology, instance.tree, instance.partition
-    with using_engine(engine):
-        point = best_certified(tree, partition)
-        result = find_shortcut(
-            topology, tree, partition, point.congestion, point.block,
-            seed=29, mode=mode,
-        )
-        report = quality.measure(result.shortcut, topology, with_dilation=False)
+    point = best_certified(tree, partition)
+    result = find_shortcut(
+        topology, tree, partition, point.congestion, point.block,
+        seed=29, mode=mode,
+    )
+    report = quality.measure(result.shortcut, topology, with_dilation=False)
     return (
         topology.n, partition.size, point.congestion, point.block,
         result.iterations, result.rounds,
@@ -510,7 +470,6 @@ def _e07_task(task):
     )
 
 
-@engine_parameter
 @construct_mode_parameter
 def run_e07(scale: str = "small") -> ExperimentResult:
     mode = get_default_mode()
@@ -524,8 +483,7 @@ def run_e07(scale: str = "small") -> ExperimentResult:
         # pipeline cannot touch; the differential suite licenses the
         # outputs as bit-for-bit identical.
         sides = sides + ((20,) if scale == "small" else (40, 56, 80))
-    engine = get_default_engine()
-    outcomes = parallel_map(_e07_task, [(side, engine, mode) for side in sides])
+    outcomes = parallel_map(_e07_task, [(side, mode) for side in sides])
     iteration_ok = True
     quality_ok = True
     ns, rounds_list = [], []
@@ -567,7 +525,6 @@ def run_e07(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 def run_e08(scale: str = "small") -> ExperimentResult:
     table = Table(
         "E8 (Cor. 1): construction on genus-g chains with Theorem 1 parameters",
@@ -612,7 +569,6 @@ def run_e08(scale: str = "small") -> ExperimentResult:
 E9_GRID_SIDES = {"small": 7, "paper": 10}
 
 
-@engine_parameter
 @backend_parameter
 @construct_mode_parameter
 def run_e09(scale: str = "small") -> ExperimentResult:
@@ -672,7 +628,6 @@ def run_e09(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 @backend_parameter
 @construct_mode_parameter
 def run_e10(scale: str = "small") -> ExperimentResult:
@@ -777,7 +732,6 @@ def run_e10(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 @construct_mode_parameter
 def run_e11(scale: str = "small") -> ExperimentResult:
     mode = get_default_mode()
@@ -824,7 +778,6 @@ def run_e11(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 @construct_mode_parameter
 def run_e12(scale: str = "small") -> ExperimentResult:
     mode = get_default_mode()
@@ -881,7 +834,6 @@ def run_e12(scale: str = "small") -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-@engine_parameter
 @backend_parameter
 @construct_mode_parameter
 def run_e13(scale: str = "small") -> ExperimentResult:
@@ -1910,7 +1862,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[[str], ExperimentResult]] = {
 }
 
 
-@engine_parameter
 def run_all(scale: str = "small") -> List[ExperimentResult]:
     """Run every experiment; used to regenerate EXPERIMENTS.md."""
     return [runner(scale) for runner in ALL_EXPERIMENTS.values()]

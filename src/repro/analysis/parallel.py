@@ -13,10 +13,10 @@ worker processes while keeping the results **deterministic**:
   ``jobs=`` argument.
 
 Workers are separate processes, so task functions must be module-level
-(picklable) and must not rely on the parent's axis scopes:
-pass the engine name in the task payload and re-enter
-``using_engine(...)`` inside the worker (see the ``_eXX_task`` workers
-in :mod:`repro.analysis.experiments`).
+(picklable) and must not rely on the parent's axis scopes: workers
+start at every axis default, and a runner ships the values its tasks
+need in the payload, as E7 does with ``mode`` (see the ``_eXX_task``
+workers in :mod:`repro.analysis.experiments`).
 
 Task payloads should stay **compact**: ship an
 :class:`~repro.analysis.instances.InstanceSpec` and hydrate it inside

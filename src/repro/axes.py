@@ -1,9 +1,9 @@
 """Context-scoped selection axes.
 
-Every fast path has an executable-specification twin, and a selection
-axis chooses between them: ``engine``, ``kernel``, ``mode``,
-``backend``, ``batch`` and ``faults``, each one :class:`Axis` declared
-next to the code it selects.  The selected value lives in a
+Every fast path has an executable-specification twin; where callers
+outside the tests need to choose between them, a selection axis does:
+``engine``, ``mode``, ``backend``, ``batch`` and ``faults``, each one
+:class:`Axis` declared next to the code it selects.  The selected value lives in a
 :class:`contextvars.ContextVar`, so a :meth:`Axis.using` scope is
 visible to the current thread (or asyncio task) and to nothing else; a
 new thread starts at the axis's declared default.

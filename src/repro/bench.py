@@ -205,9 +205,10 @@ def _quality_case(family):
     return name, topology, partition, shortcut
 
 
-def _measure(kernel: str, case):
+def _measure(twin: str, case):
     _name, topology, _partition, shortcut = case
-    return quality.measure(shortcut, topology, with_dilation=True, kernel=kernel)
+    measure = quality.measure_reference if twin == "reference" else quality.measure
+    return measure(shortcut, topology, with_dilation=True)
 
 
 def _check_kernels(case, outputs) -> None:

@@ -19,7 +19,7 @@ suite asserts ``FaultyEngine(inner="reference")`` ==
 The ``faults=`` axis
 --------------------
 
-Like ``engine=`` / ``kernel=`` / ``mode=`` / ``backend=`` / ``batch=``,
+Like ``engine=`` / ``mode=`` / ``backend=`` / ``batch=``,
 fault injection is a context-scoped :class:`~repro.axes.Axis`
 (:data:`FAULTS`): :func:`using_faults` selects a plan for the enclosed
 block on the current thread only, :func:`faults_parameter` gives an

@@ -9,8 +9,8 @@ and the applications.  Edges are always stored in canonical
 The class is deliberately small and read-only: generators build a
 topology once, and everything downstream treats it as a value.
 
-Two construction paths exist, mirroring the ``engine=`` / ``kernel=``
-split of the compute layers:
+Two construction paths exist, mirroring the reference/fast twins of
+the compute layers:
 
 * the **reference** constructor (``Topology(n, edges, ...)``)
   canonicalises, deduplicates, and sorts arbitrary edge iterables —

@@ -21,7 +21,6 @@ Layout mirrors the paper:
 
 from repro.core.shortcut import GeneralShortcut, TreeRestrictedShortcut
 from repro.core.quality import (
-    KERNELS,
     BlockComponent,
     QualityReport,
     block_components,
@@ -29,11 +28,9 @@ from repro.core.quality import (
     block_parameter,
     congestion,
     dilation,
-    get_default_kernel,
     lemma1_bound,
     measure,
     shortcut_congestion,
-    using_kernel,
 )
 from repro.core import quality_fast
 from repro.core.existence import (
@@ -90,11 +87,8 @@ from repro.core.doubling import DoublingResult, Trial, find_shortcut_doubling
 __all__ = [
     "GeneralShortcut",
     "TreeRestrictedShortcut",
-    "KERNELS",
     "BlockComponent",
     "QualityReport",
-    "get_default_kernel",
-    "using_kernel",
     "quality_fast",
     "block_components",
     "block_counts",

@@ -4,8 +4,8 @@ The per-instance fast paths (engine, quality kernels, direct
 construction, direct backends, array-native instances) are Python over
 flat arrays, one instance at a time; the experiment grids and the
 shortcut service both run many *similar* instances.  This module adds
-the sixth selection axis, ``batch=``, mirroring ``engine=`` /
-``kernel=`` / ``mode=`` / ``backend=``:
+the selection axis ``batch=``, mirroring ``engine=`` / ``mode=`` /
+``backend=``:
 
 * ``batch="loop"`` (default) runs the existing per-instance kernels in
   a Python loop — the executable reference for the batch layer, and
@@ -251,17 +251,14 @@ def measure_batch(
     topologies: Sequence[Topology],
     *,
     with_dilation: bool = True,
-    kernel: Optional[str] = None,
     batch: Optional[str] = None,
 ) -> List[QualityReport]:
     """One :class:`QualityReport` per ``(shortcut, topology)`` pair.
 
     The batch-axis entry point of :func:`repro.core.quality.measure`:
-    ``batch="loop"`` (the default) calls ``measure`` per instance with
-    the selected per-instance ``kernel``; ``batch="vector"`` packs the
-    whole batch and runs the vectorized twins — which implement the
-    fast kernels, so ``kernel`` does not apply to it (both kernels are
-    bit-identical anyway).  Reports match the loop bit-for-bit.
+    ``batch="loop"`` (the default) calls ``measure`` per instance;
+    ``batch="vector"`` packs the whole batch and runs the vectorized
+    twins of the same kernels.  Reports match the loop bit-for-bit.
     """
     if len(shortcuts) != len(topologies):
         raise ShortcutError(
@@ -274,7 +271,7 @@ def measure_batch(
     from repro.core.quality import measure
 
     return [
-        measure(shortcut, topology, with_dilation=with_dilation, kernel=kernel)
+        measure(shortcut, topology, with_dilation=with_dilation)
         for shortcut, topology in zip(shortcuts, topologies)
     ]
 

@@ -19,8 +19,8 @@ Selection is threaded through :func:`~repro.core.find_shortcut.find_shortcut`,
 :func:`~repro.core.doubling.find_shortcut_doubling`,
 :func:`~repro.core.verification.verification`,
 :func:`~repro.core.core_slow.core_slow` and
-:func:`~repro.core.core_fast.core_fast` exactly like ``engine=`` and
-``kernel=``: a ``mode=`` keyword per call site, and the context-scoped
+:func:`~repro.core.core_fast.core_fast` exactly like ``engine=``: a
+``mode=`` keyword per call site, and the context-scoped
 :data:`MODE` axis (:func:`using_mode`, :func:`construct_mode_parameter`)
 whose overrides hold for the enclosed block on the current thread only.
 

@@ -15,7 +15,7 @@ at the application layer — the engine split of
   and charges the :class:`~repro.congest.trace.RoundLedger` with the
   *exact* rounds and messages the simulated program consumes.
 
-Selection mirrors ``engine=`` / ``kernel=`` / ``mode=``: a ``backend=``
+Selection mirrors ``engine=`` / ``mode=``: a ``backend=``
 keyword per call site (``PartwiseEngine``, ``exchange_labels``,
 ``fragment_aggregate``, every app entry point), and the context-scoped
 :data:`BACKEND` axis (:func:`using_backend` / :func:`backend_parameter`)

@@ -11,13 +11,12 @@ Implements Definitions 1 and 3 and Lemma 1 of the paper:
 * **Lemma 1** — ``dilation <= b * (2 * depth(T) + 1)``.
 
 This module is the *executable reference*: every function walks the
-obvious dict-of-set structures so that it reads like the definitions.
-The hot path used by experiments lives in
-:mod:`repro.core.quality_fast` (flat-array kernels over
-:mod:`repro.graphs.csr` structures) and is selected through
-:func:`measure`'s ``kernel`` argument — mirroring the reference/batched
-engine split of :mod:`repro.congest.engine`.  The differential suite in
-``tests/core/test_quality_equivalence.py`` proves both kernels return
+obvious dict-of-set structures so that it reads like the definitions,
+and :func:`measure_reference` bundles them into one report.
+:func:`measure` always runs the flat-array kernels of
+:mod:`repro.core.quality_fast` over :mod:`repro.graphs.csr` structures;
+the reference is its test oracle.  The differential suite in
+``tests/core/test_quality_equivalence.py`` proves both return
 bit-for-bit identical reports.
 """
 
@@ -27,25 +26,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.axes import Axis
 from repro.congest.topology import Edge, Topology, canonical_edge
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
 from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
-
-# ----------------------------------------------------------------------
-# The kernel= axis (reference vs fast)
-# ----------------------------------------------------------------------
-
-KERNELS: Tuple[str, ...] = ("reference", "fast")
-
-KERNEL = Axis.of_choices("kernel", "fast", KERNELS, ShortcutError)
-
-get_default_kernel = KERNEL.get
-using_kernel = KERNEL.using
-resolve_kernel = KERNEL.resolve
-
 
 @dataclass(frozen=True)
 class BlockComponent:
@@ -251,25 +236,30 @@ def measure(
     shortcut: TreeRestrictedShortcut,
     topology: Topology,
     with_dilation: bool = True,
-    kernel: Optional[str] = None,
 ) -> QualityReport:
     """Compute a full :class:`QualityReport` for a shortcut.
 
-    ``kernel`` selects the implementation: ``"fast"`` (the default —
-    flat-array union-find, counting-array congestion, and frontier BFS
-    dilation with an eccentricity early-exit) or ``"reference"`` (this
-    module's dict-of-set definitions).  Both return bit-for-bit
-    identical reports.
+    Runs the :mod:`repro.core.quality_fast` kernels: flat-array
+    union-find, counting-array congestion, and frontier BFS dilation
+    with an eccentricity early-exit.  The report is bit-for-bit that of
+    :func:`measure_reference`.
 
-    Dilation remains the expensive field — O(n · m) per part on the
-    reference kernel, and still all-pairs-BFS-shaped (though early-exit
-    pruned) on the fast one — so disable it for very large sweeps
+    Dilation remains the expensive field — still all-pairs-BFS-shaped,
+    though early-exit pruned — so disable it for very large sweeps
     (Lemma 1 bounds it from the block parameter anyway).
     """
-    if resolve_kernel(kernel) == "fast":
-        from repro.core import quality_fast
+    from repro.core import quality_fast
 
-        return quality_fast.measure(shortcut, topology, with_dilation=with_dilation)
+    return quality_fast.measure(shortcut, topology, with_dilation=with_dilation)
+
+
+def measure_reference(
+    shortcut: TreeRestrictedShortcut,
+    topology: Topology,
+    with_dilation: bool = True,
+) -> QualityReport:
+    """The oracle for :func:`measure`: the report from this module's
+    dict-of-set definitions (dilation is O(n · m) per part here)."""
     counts = tuple(block_counts(shortcut))
     return QualityReport(
         congestion=congestion(shortcut, topology),

@@ -22,8 +22,9 @@ Every function returns bit-for-bit the same result as its reference
 twin; the differential suite in
 ``tests/core/test_quality_equivalence.py`` and the property suite in
 ``tests/properties/test_prop_quality.py`` enforce that, exactly as the
-engine-equivalence suite licenses the batched engine.  Selection is
-routed through ``quality.measure(..., kernel=...)``.
+engine-equivalence suite licenses the batched engine.
+:func:`repro.core.quality.measure` always runs these kernels; the
+reference reports come from ``quality.measure_reference``.
 """
 
 from __future__ import annotations

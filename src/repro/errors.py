@@ -62,10 +62,6 @@ class ConstructionFailedError(ReproError):
         self.state = state
 
 
-class VerificationError(ReproError):
-    """Raised when the Verification subroutine is given malformed input."""
-
-
 class DetectedFailure(ReproError):
     """A self-verifying run detected a fault it could not mask.
 

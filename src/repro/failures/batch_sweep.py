@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.congest.topology import Topology
-from repro.core.quality import KERNELS
 from repro.failures.degradation import (
     Baseline,
     DegradationRecord,
@@ -66,7 +65,6 @@ def scenarios_batch(
     seed: int = 0,
     mode: Optional[str] = None,
     backends: Sequence[Optional[str]] = (None,),
-    kernels: Sequence[str] = KERNELS,
     with_dilation: bool = True,
     batch: Optional[str] = None,
 ) -> Tuple[DegradationRecord, ...]:
@@ -97,7 +95,6 @@ def scenarios_batch(
                 seed=seed,
                 mode=mode,
                 backends=backends,
-                kernels=kernels,
                 with_dilation=with_dilation,
             )
             for scenario in scenarios
@@ -142,7 +139,6 @@ def scenarios_batch(
             seed=seed,
             mode=mode,
             backends=backends,
-            kernels=kernels,
             with_dilation=with_dilation,
             report=report_of.get(index),
         )

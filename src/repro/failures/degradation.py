@@ -5,10 +5,11 @@ this module answers "how much worse did things get?": it re-runs the
 shortcut construction and the applications on the survivor and records
 the deltas against the intact baseline.
 
-* Shortcut quality is measured with **both** quality kernels
-  (``"fast"`` and ``"reference"``) and the reports are asserted
-  identical — every degradation sweep doubles as a differential audit
-  of the kernels on a mutated topology (the hardening goal of this PR).
+* Shortcut quality is measured with :func:`~repro.core.quality.measure`
+  and cross-checked against its oracle
+  :func:`~repro.core.quality.measure_reference` — every degradation
+  sweep doubles as a differential audit of the quality kernels on a
+  mutated topology.
 * MST and connectivity run through the components-aware application
   results, so a scenario that disconnects the survivor is a first-class
   data point (an MST *forest*, per-component labels), not an error:
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.congest.topology import Topology
+from repro.core import quality
 from repro.core.doubling import find_shortcut_doubling
-from repro.core.quality import KERNELS, measure
 from repro.errors import ReproError
 from repro.failures.repair import split_partition
 from repro.failures.scenarios import FailureScenario
@@ -88,7 +89,7 @@ def intact_baseline(
     outcome = find_shortcut_doubling(
         topology, tree, partition, seed=seed, mode=mode
     )
-    report = measure(outcome.result.shortcut, topology)
+    report = quality.measure(outcome.result.shortcut, topology)
     mst = minimum_spanning_tree(
         topology, seed=seed, construct_mode=mode, backend=backend
     )
@@ -112,14 +113,13 @@ def measure_degradation(
     seed: int = 0,
     mode: Optional[str] = None,
     backends: Sequence[Optional[str]] = (None,),
-    kernels: Sequence[str] = KERNELS,
     with_dilation: bool = True,
 ) -> DegradationRecord:
     """Run construction + applications on the survivor and record deltas.
 
-    Raises ``AssertionError`` when the two quality kernels (or, with
-    multiple ``backends``, the application backends) disagree on the
-    survivor — the differential contract extended to mutated
+    Raises ``AssertionError`` when the quality kernels and their oracle
+    (or, with multiple ``backends``, the application backends) disagree
+    on the survivor — the differential contract extended to mutated
     topologies.
     """
     survivor = topology.delete_edges(scenario.edges)
@@ -140,7 +140,6 @@ def measure_degradation(
         seed=seed,
         mode=mode,
         backends=backends,
-        kernels=kernels,
         with_dilation=with_dilation,
     )
 
@@ -155,7 +154,6 @@ def degradation_record(
     seed: int = 0,
     mode: Optional[str] = None,
     backends: Sequence[Optional[str]] = (None,),
-    kernels: Sequence[str] = KERNELS,
     with_dilation: bool = True,
     report=None,
 ) -> DegradationRecord:
@@ -166,7 +164,7 @@ def degradation_record(
     ``outcome`` is the doubling search on the survivor (``None`` when
     disconnected) and ``report`` optionally supplies an already-measured
     :class:`~repro.core.quality.QualityReport` (e.g. from
-    ``measure_batch``) instead of the per-kernel differential loop.
+    ``measure_batch``) instead of the measure-vs-oracle cross-check.
     """
     from repro.apps.connectivity import connected_components
     from repro.apps.mst import minimum_spanning_tree
@@ -176,21 +174,15 @@ def degradation_record(
     congestion_delta = block_delta = dilation_delta = rounds_delta = None
     if connected:
         if report is None:
-            reports = [
-                measure(
-                    outcome.result.shortcut,
-                    survivor,
-                    with_dilation=with_dilation,
-                    kernel=kernel,
-                )
-                for kernel in kernels
-            ]
-            for other in reports[1:]:
-                assert other == reports[0], (
-                    f"quality kernels diverge on survivor of {scenario.label}: "
-                    f"{other} != {reports[0]}"
-                )
-            report = reports[0]
+            shortcut = outcome.result.shortcut
+            report = quality.measure(shortcut, survivor, with_dilation=with_dilation)
+            reference = quality.measure_reference(
+                shortcut, survivor, with_dilation=with_dilation
+            )
+            assert report == reference, (
+                f"quality kernels diverge on survivor of {scenario.label}: "
+                f"{report} != {reference}"
+            )
         congestion_delta = report.congestion - baseline.congestion
         block_delta = report.block_parameter - baseline.block
         if with_dilation and report.dilation is not None and baseline.dilation is not None:

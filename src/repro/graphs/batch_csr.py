@@ -309,48 +309,33 @@ def _np_tree(np, tree: SpanningTree):
 class ShortcutPack:
     """A :class:`BatchCSR` plus one tree-restricted shortcut per instance.
 
-    ``shortcuts`` holds the packed per-instance shortcut objects.
-
     Attributes (all numpy arrays, global ids)
     -----------------------------------------
-    h_part, h_edge, h_child, h_parent:
+    h_part, h_edge:
         One entry per assigned edge slot across the batch: the owning
-        global part id, the global dense edge id, and the slot's
-        deeper / shallower endpoint (``H_i`` edges are tree edges, so
-        the endpoints differ in depth by one).
-    clone_keys, clone_part, clone_node, clone_starts:
+        global part id and the global dense edge id.
+    clone_part, clone_starts:
         The clone table: deduplicated ``(part, node)`` pairs over part
-        members and ``H_i`` endpoints, sorted by part then node
-        (``clone_keys`` is the sorted ``part * stride + node`` key
-        array for :func:`numpy.searchsorted` lookups, with ``stride``
-        the batch node total).  Part ``p`` owns clone ids
+        members and ``H_i`` endpoints, sorted by part then node; the
+        owning part of each clone.  Part ``p`` owns clone ids
         ``[clone_starts[p], clone_starts[p + 1])``.
     h_child_clone, h_parent_clone:
-        Per edge slot, the clone ids of its endpoints in the owning
-        part's clone range.
-    member_node, member_part, member_starts, member_clone:
-        Covered nodes sorted by (part, node): the global node, its
-        part, the per-part offsets into these arrays (all three shared
-        with :meth:`BatchCSR.member_table`), and each member's clone id.
+        Per edge slot, the clone ids of its deeper / shallower endpoint
+        (``H_i`` edges are tree edges, so the endpoints differ in depth
+        by one) in the owning part's clone range.
+    member_clone:
+        The clone id of each member, in :meth:`BatchCSR.member_table`
+        order.
     """
 
     __slots__ = (
         "batch",
-        "shortcuts",
         "h_part",
         "h_edge",
-        "h_child",
-        "h_parent",
         "h_child_clone",
         "h_parent_clone",
-        "clone_keys",
-        "clone_stride",
         "clone_part",
-        "clone_node",
         "clone_starts",
-        "member_node",
-        "member_part",
-        "member_starts",
         "member_clone",
     )
 
@@ -365,12 +350,11 @@ class ShortcutPack:
                 f"expected {batch.size} shortcuts, got {len(shortcuts)}"
             )
         self.batch = batch
-        self.shortcuts = tuple(shortcuts)
 
         # --- flat edge-slot arrays (one Python pass over the frozensets;
         # everything after this loop is numpy) ---
         slots: List[Tuple[int, int, int, int]] = []
-        for b, shortcut in enumerate(self.shortcuts):
+        for b, shortcut in enumerate(shortcuts):
             n0 = int(batch.node_offsets[b])
             p0 = int(batch.part_offsets[b])
             e0 = int(batch.edge_offsets[b])
@@ -387,26 +371,20 @@ class ShortcutPack:
         self.h_part = h_part
         self.h_edge = flat[:, 3].copy()
         deeper = batch.tree_depth[h_u] > batch.tree_depth[h_v]
-        self.h_child = np.where(deeper, h_u, h_v)
-        self.h_parent = np.where(deeper, h_v, h_u)
-
-        # --- members sorted by (part, node), shared with the batch ---
-        self.member_node, self.member_part, self.member_starts, _inverse = (
-            batch.member_table()
-        )
+        h_child = np.where(deeper, h_u, h_v)
+        h_parent = np.where(deeper, h_v, h_u)
 
         # --- clone table: (part, node) pairs keyed as part*stride+node ---
-        # member_keys is already sorted (members are lexsorted by part,
-        # node), so only the H endpoint keys need a sort; the clone key
-        # table is then a sorted merge instead of one big unique.
+        # Members are lexsorted by (part, node), so member_keys is
+        # already sorted and only the H endpoint keys need a sort; the
+        # clone key table is then a sorted merge instead of one big
+        # unique.
+        member_node, member_part, _starts, _inverse = batch.member_table()
         stride = max(batch.n_total, 1)
-        member_keys = self.member_part * stride + self.member_node
-        endpoint_keys = np.concatenate(
-            [
-                self.h_part * stride + self.h_child,
-                self.h_part * stride + self.h_parent,
-            ]
-        )
+        member_keys = member_part * stride + member_node
+        child_keys = h_part * stride + h_child
+        parent_keys = h_part * stride + h_parent
+        endpoint_keys = np.concatenate([child_keys, parent_keys])
         if endpoint_keys.size:
             endpoint_keys.sort()
             keep = np.empty(len(endpoint_keys), dtype=bool)
@@ -423,21 +401,14 @@ class ShortcutPack:
                 member_keys, pos[~present], endpoint_keys[~present]
             )
         else:
-            clone_keys = member_keys.copy()
-        self.clone_keys = clone_keys
-        self.clone_stride = stride
+            clone_keys = member_keys
         self.clone_part = clone_keys // stride
-        self.clone_node = clone_keys % stride
         self.clone_starts = np.searchsorted(
             self.clone_part, np.arange(batch.p_total + 1)
         )
         self.member_clone = np.searchsorted(clone_keys, member_keys)
-        self.h_child_clone = np.searchsorted(
-            clone_keys, self.h_part * stride + self.h_child
-        )
-        self.h_parent_clone = np.searchsorted(
-            clone_keys, self.h_part * stride + self.h_parent
-        )
+        self.h_child_clone = np.searchsorted(clone_keys, child_keys)
+        self.h_parent_clone = np.searchsorted(clone_keys, parent_keys)
 
 
 def pointer_jump(np, pointer):

@@ -112,7 +112,11 @@ def spec_key(op: str, spec: InstanceSpec, **params: object) -> str:
 
 @dataclass
 class StoreStats:
-    """Observable store behaviour, for tests, /stats, and E20."""
+    """Observable store behaviour, for tests, /stats, and E20.
+
+    Pool threads share one store, so every update goes through
+    :meth:`bump`; each counter stays a plain ``int`` attribute to read.
+    """
 
     hits_memory: int = 0
     hits_disk: int = 0
@@ -122,9 +126,20 @@ class StoreStats:
     quarantined: int = 0
     io_errors: int = 0
     swept_tmp: int = 0
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def bump(self, *names: str) -> None:
+        """Add one to each named counter."""
+        with self._lock:
+            for name in names:
+                setattr(self, name, getattr(self, name) + 1)
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+        """A consistent snapshot of every counter."""
+        with self._lock:
+            return {k: v for k, v in self.__dict__.items() if k != "_lock"}
 
 
 @dataclass
@@ -231,12 +246,12 @@ class PersistentStore:
                 for tmp in self.root.glob(f"*/*{TMP_SUFFIX}"):
                     try:
                         tmp.unlink()
-                        swept += 1
                     except OSError:
-                        pass
+                        continue
+                    swept += 1
+                    self.stats.bump("swept_tmp")
         except OSError:
             pass
-        self.stats.swept_tmp += swept
         return swept
 
     # ------------------------------------------------------------------
@@ -254,7 +269,7 @@ class PersistentStore:
             entry = self._memory.get(key)
             if entry is not None:
                 self._memory.move_to_end(key)
-                self.stats.hits_memory += 1
+                self.stats.bump("hits_memory")
                 return entry.payload
         path = self.path_for(key)
         try:
@@ -262,20 +277,19 @@ class PersistentStore:
                 self.hooks.before_read(key, path)
             raw = path.read_bytes()
         except FileNotFoundError:
-            self.stats.misses += 1
+            self.stats.bump("misses")
             return None
         except OSError:
-            self.stats.io_errors += 1
-            self.stats.misses += 1
+            self.stats.bump("io_errors", "misses")
             return None
         if self.hooks.mutate_bytes is not None:
             raw = self.hooks.mutate_bytes(key, raw)
         entry = self._decode(key, raw)
         if entry is None:
             self._quarantine(key, path)
-            self.stats.misses += 1
+            self.stats.bump("misses")
             return None
-        self.stats.hits_disk += 1
+        self.stats.bump("hits_disk")
         self._remember(key, entry)
         return entry.payload
 
@@ -304,14 +318,14 @@ class PersistentStore:
         target = self.root / QUARANTINE_DIR / path.name
         try:
             os.replace(path, target)
-            self.stats.quarantined += 1
+            self.stats.bump("quarantined")
         except OSError:
             # Fall back to deletion; the entry must not stay readable.
             try:
                 path.unlink()
-                self.stats.quarantined += 1
+                self.stats.bump("quarantined")
             except OSError:
-                self.stats.io_errors += 1
+                self.stats.bump("io_errors")
 
     # ------------------------------------------------------------------
     # Write path
@@ -356,13 +370,13 @@ class PersistentStore:
         except KilledWriter:
             raise
         except OSError:
-            self.stats.io_errors += 1
+            self.stats.bump("io_errors")
             try:
                 tmp.unlink()
             except OSError:
                 pass
             return False
-        self.stats.writes += 1
+        self.stats.bump("writes")
         self._remember(key, _Entry(payload=payload, checksum=checksum))
         return True
 
@@ -374,7 +388,7 @@ class PersistentStore:
             self._memory.move_to_end(key)
             while len(self._memory) > self.memory_entries:
                 self._memory.popitem(last=False)
-                self.stats.evictions += 1
+                self.stats.bump("evictions")
 
     def forget_memory(self, key: Optional[str] = None) -> None:
         """Drop the in-memory layer (or one key) — chaos/tests use this

@@ -96,7 +96,10 @@ def test_components_are_cached_and_fresh_per_twin():
     assert [len(nodes) for _, nodes in pieces] == [1, 8]
 
 
-@pytest.mark.parametrize("kernel", quality.KERNELS)
+KERNELS = {"reference": quality.measure_reference, "fast": quality.measure}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
 def test_mutate_then_measure_kernels_agree(kernel):
     """Delete edges mid-pipeline, then measure with each kernel against
     the reference: a stale CSR/tree cache would break the agreement."""
@@ -111,12 +114,8 @@ def test_mutate_then_measure_kernels_agree(kernel):
     outcome = find_shortcut_doubling(
         survivor, new_tree, new_partition, seed=1, mode="direct"
     )
-    report = quality.measure(
-        outcome.result.shortcut, survivor, kernel=kernel
-    )
-    reference = quality.measure(
-        outcome.result.shortcut, survivor, kernel="reference"
-    )
+    report = KERNELS[kernel](outcome.result.shortcut, survivor)
+    reference = quality.measure_reference(outcome.result.shortcut, survivor)
     assert report == reference
 
 
@@ -137,8 +136,8 @@ def test_mutate_then_measure_after_cache_warm():
         survivor, new_tree, new_partition, seed=2, mode="direct"
     )
     reports = {
-        kernel: quality.measure(outcome.result.shortcut, survivor, kernel=kernel)
-        for kernel in quality.KERNELS
+        kernel: measure(outcome.result.shortcut, survivor)
+        for kernel, measure in KERNELS.items()
     }
     first = next(iter(reports.values()))
     assert all(report == first for report in reports.values())

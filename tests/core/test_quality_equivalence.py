@@ -84,15 +84,13 @@ def _assert_all_identical(shortcut, topology):
     except ShortcutError:
         with pytest.raises(ShortcutError):
             quality_fast.dilation(shortcut, topology)
-        reference = quality.measure(
-            shortcut, topology, with_dilation=False, kernel="reference"
-        )
-        fast = quality.measure(shortcut, topology, with_dilation=False, kernel="fast")
+        reference = quality.measure_reference(shortcut, topology, with_dilation=False)
+        fast = quality.measure(shortcut, topology, with_dilation=False)
         assert fast == reference
         return
     assert quality_fast.dilation(shortcut, topology) == reference_dilation
-    reference = quality.measure(shortcut, topology, kernel="reference")
-    fast = quality.measure(shortcut, topology, kernel="fast")
+    reference = quality.measure_reference(shortcut, topology)
+    fast = quality.measure(shortcut, topology)
     assert fast == reference
 
 
@@ -134,13 +132,13 @@ def test_weighted_topology_identical():
     tree = SpanningTree.bfs(topology, 0)
     partition = partitions.voronoi(topology, 6, seed=3)
     shortcut = greedy_capped_shortcut(tree, partition, 2)[0]
-    reference = quality.measure(shortcut, topology, kernel="reference")
-    fast = quality.measure(shortcut, topology, kernel="fast")
+    reference = quality.measure_reference(shortcut, topology)
+    fast = quality.measure(shortcut, topology)
     assert fast == reference
     unweighted_shortcut = TreeRestrictedShortcut(
         SpanningTree.bfs(base, 0), partition, shortcut.subgraphs
     )
-    assert quality.measure(unweighted_shortcut, base, kernel="fast") == reference
+    assert quality.measure(unweighted_shortcut, base) == reference
 
 
 def test_zero_part_shortcut_identical():
@@ -148,14 +146,20 @@ def test_zero_part_shortcut_identical():
     tree = SpanningTree.bfs(topology, 0)
     partition = partitions.Partition(topology.n, [])
     shortcut = TreeRestrictedShortcut.empty(tree, partition)
-    reference = quality.measure(shortcut, topology, kernel="reference")
-    fast = quality.measure(shortcut, topology, kernel="fast")
+    reference = quality.measure_reference(shortcut, topology)
+    fast = quality.measure(shortcut, topology)
     assert fast == reference
     assert quality_fast.block_parameter(shortcut) == quality.block_parameter(shortcut)
 
 
-def test_default_kernel_used_by_measure(grid6, grid6_tree, grid6_voronoi):
+def test_default_kernel_used_by_measure(
+    grid6, grid6_tree, grid6_voronoi, monkeypatch
+):
+    """``measure`` runs the fast kernels, whose report is the oracle's."""
     shortcut = full_ancestor_shortcut(grid6_tree, grid6_voronoi)
-    with quality.using_kernel("reference"):
-        reference = quality.measure(shortcut, grid6)
-    assert quality.measure(shortcut, grid6) == reference
+    assert quality.measure(shortcut, grid6) == quality.measure_reference(
+        shortcut, grid6
+    )
+    sentinel = object()
+    monkeypatch.setattr(quality_fast, "measure", lambda *args, **kwargs: sentinel)
+    assert quality.measure(shortcut, grid6) is sentinel

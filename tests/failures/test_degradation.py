@@ -3,12 +3,16 @@
 The main-line sweeps live in E19 and the property suite; these pin the
 boundary shapes: a scenario failing *every* edge, a survivor in which
 no original part stays intact, and SRLG draws that take down the whole
-spanning tree.
+spanning tree.  The last test proves the survivor's quality report is
+still cross-checked against its reference oracle.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.analysis.instances import InstanceSpec, clear_instance_cache, hydrate
+from repro.core import quality
 from repro.failures.degradation import intact_baseline, measure_degradation
 from repro.failures.repair import split_partition
 from repro.failures.scenarios import FailureScenario, sample_srlg
@@ -129,3 +133,25 @@ def test_srlg_covering_the_whole_spanning_tree(instance, baseline):
     else:
         assert record.components > 1
         assert record.congestion_delta is None
+
+
+def test_diverging_oracle_fails_the_cross_check(instance, baseline, monkeypatch):
+    scenario = FailureScenario(edges=((0, 1),), kind="kwise", label="one-edge")
+    oracle = quality.measure_reference
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(quality, "measure_reference", counted)
+    record = measure(instance, scenario, baseline)
+    assert record.connected and len(calls) == 1
+
+    def perturbed(*args, **kwargs):
+        report = oracle(*args, **kwargs)
+        return dataclasses.replace(report, congestion=report.congestion + 1)
+
+    monkeypatch.setattr(quality, "measure_reference", perturbed)
+    with pytest.raises(AssertionError, match="diverge on survivor of one-edge"):
+        measure(instance, scenario, baseline)

@@ -5,9 +5,11 @@ Selection axes are context-scoped: a ``mode`` / ``backend`` /
 reach another thread's computation.  These tests run mixed selections
 from more threads than cores — with a short interpreter switch
 interval, so threads interleave inside the computations — and compare
-every result with the same call made serially.
+every result with the same call made serially.  The persistent store
+those requests share must likewise count every access exactly once.
 """
 
+import hashlib
 import sys
 import threading
 from typing import Callable, Dict, List, Tuple
@@ -31,6 +33,7 @@ from repro.graphs import generators
 from repro.graphs.batch_csr import numpy_available
 from repro.service.client import spec_to_json
 from repro.service.server import OPERATIONS, PARAM_DEFAULTS, ShortcutService
+from repro.service.store import PersistentStore
 
 THREADS = 8
 TIMEOUT_S = 300.0
@@ -166,8 +169,8 @@ def _library_calls() -> Dict[str, Callable[[], object]]:
         "doubling": doubling,
         "doubling mode=direct": lambda: doubling(mode="direct"),
         "measure": lambda: quality.measure(shortcut, instance.topology),
-        "measure kernel=reference": lambda: quality.measure(
-            shortcut, instance.topology, kernel="reference"
+        "measure_reference": lambda: quality.measure_reference(
+            shortcut, instance.topology
         ),
         "measure_batch": lambda: measure_batch(shortcuts, topologies),
     }
@@ -208,3 +211,36 @@ def test_library_calls_with_mixed_axes_match_serial(fast_switching):
     )
     for lane in range(THREADS):
         assert results[lane] == expected, f"thread {lane}"
+
+
+def test_store_counters_add_up_under_concurrent_access(fast_switching, tmp_path):
+    """Every get is one memory hit, disk hit or miss; every successful
+    put is one write — however the pool threads interleave."""
+    keys = [hashlib.sha256(b"key%d" % i).hexdigest() for i in range(24)]
+    present, missing = keys[:12], keys[12:]
+    # A small LRU front, so gets of present keys also reach the disk.
+    store = PersistentStore(tmp_path, memory_entries=3)
+    for key in present:
+        assert store.put(key, {"key": key})
+    counts: Dict[str, int] = {"gets": 0, "puts": len(present)}
+    counts_lock = threading.Lock()
+
+    def accesses(worker: int) -> List[Callable[[], None]]:
+        def access(step: int) -> None:
+            key = (present if step % 3 else missing)[(worker + step) % 12]
+            if step % 5 == 0:
+                ok = store.put(key, {"key": key, "step": step})
+                with counts_lock:
+                    counts["puts"] += ok
+            else:
+                store.get(key)
+                with counts_lock:
+                    counts["gets"] += 1
+
+        return [lambda step=step: access(step) for step in range(60)]
+
+    _run_threads([accesses(worker) for worker in range(THREADS)])
+    stats = store.stats
+    assert stats.hits_memory + stats.hits_disk + stats.misses == counts["gets"]
+    assert stats.writes == counts["puts"]
+    assert stats.io_errors == stats.quarantined == 0

@@ -91,8 +91,8 @@ def test_dilation_agrees_including_errors(drawn):
             quality_fast.dilation(shortcut, topology)
         return
     assert quality_fast.dilation(shortcut, topology) == reference
-    report_ref = quality.measure(shortcut, topology, kernel="reference")
-    report_fast = quality.measure(shortcut, topology, kernel="fast")
+    report_ref = quality.measure_reference(shortcut, topology)
+    report_fast = quality.measure(shortcut, topology)
     assert report_fast == report_ref
 
 

@@ -1,7 +1,7 @@
-"""The selection-axis contract, checked on all six axes.
+"""The selection-axis contract, checked on all five axes.
 
-Every axis (``engine``, ``kernel``, ``mode``, ``backend``, ``batch``,
-``faults``) is a context-scoped :class:`repro.axes.Axis`.  ``None`` is a
+Every axis (``engine``, ``mode``, ``backend``, ``batch``, ``faults``)
+is a context-scoped :class:`repro.axes.Axis`.  ``None`` is a
 no-op, scopes nest and restore (also when the block raises), an
 unknown value raises the axis's error type, and a scope is visible to
 the thread that opened it and to no other thread.
@@ -25,7 +25,6 @@ from repro.congest.faults import FaultPlan, resolve_faults, using_faults
 from repro.core.batch import resolve_batch, using_batch
 from repro.core.construct_fast import resolve_mode, using_mode
 from repro.core.partwise_fast import resolve_backend, using_backend
-from repro.core.quality import resolve_kernel, using_kernel
 from repro.errors import ShortcutError, SimulationError
 
 TIMEOUT_S = 30.0
@@ -46,10 +45,6 @@ CASES = {
     "engine": Case(
         using_engine, resolve_engine,
         "batched", BatchedEngine, "reference", ReferenceEngine, SimulationError,
-    ),
-    "kernel": Case(
-        using_kernel, resolve_kernel,
-        "fast", "fast", "reference", "reference", ShortcutError,
     ),
     "mode": Case(
         using_mode, resolve_mode,
@@ -176,11 +171,8 @@ def test_axis_declarations_match_the_table():
     from repro.core.batch import BATCH
     from repro.core.construct_fast import MODE
     from repro.core.partwise_fast import BACKEND
-    from repro.core.quality import KERNEL
 
-    declared = {
-        axis.name: axis for axis in (ENGINE, KERNEL, MODE, BACKEND, BATCH, FAULTS)
-    }
+    declared = {axis.name: axis for axis in (ENGINE, MODE, BACKEND, BATCH, FAULTS)}
     assert sorted(declared) == sorted(CASES)
     for name, case in CASES.items():
         axis = declared[name]
