@@ -26,7 +26,7 @@ and tests compare against Kruskal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.apps.aggregation import min_outgoing_edges
@@ -38,6 +38,7 @@ from repro.core.doubling import find_shortcut_doubling
 from repro.core.existence import best_certified, genus_bound
 from repro.core.find_shortcut import find_shortcut
 from repro.core.partwise import PartwiseEngine
+from repro.core.quality_fast import shortcut_congestion
 from repro.core.partwise_fast import (
     backend_parameter,
     bfs_and_shared_randomness,
@@ -295,9 +296,7 @@ def minimum_spanning_tree(
             PhaseRecord(
                 phase=phase,
                 fragments=partition.size,
-                shortcut_c=max(
-                    (len(p) for p in shortcut.edge_map.values()), default=0
-                ),
+                shortcut_c=shortcut_congestion(shortcut),
                 shortcut_b=b_bound,
                 merges=merges,
                 construct_rounds=construct_end - phase_start,

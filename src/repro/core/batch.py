@@ -48,6 +48,11 @@ search :func:`find_shortcut_doubling_batch`.  Their vectorized twins:
   block off the flood's node forest (:func:`_forest_counts`) and
   reduces verdicts over the cached part-internal components
   (:func:`_verdict_counts`); the tentative shortcuts are never packed.
+  The good parts' slots freeze as arrays of ``part * n + child`` keys
+  and become the result's ``(part, child)`` slot storage
+  (:class:`~repro.core.shortcut.TreeRestrictedShortcut`) by one sort,
+  which :class:`~repro.graphs.batch_csr.ShortcutPack` reads without a
+  Python loop over slots.
 
 Equivalence contract
 --------------------
@@ -72,6 +77,7 @@ without numpy raises the install-hint error of
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axes import Axis
@@ -586,14 +592,18 @@ def _flood_up_batch(np, batch: BatchCSR, own, usable):
     return seen, rounds, messages
 
 
-def _good_flood_slots(np, batch: BatchCSR, seen, usable, good):
-    """The ``(node, global id)`` edge slots of the good parts only.
+def _good_flood_chunks(np, batch: BatchCSR, seen, usable, good):
+    """The good parts' edge slots, read off the flood bitsets, as
+    :func:`_slot_chunks` pairs.
 
     ``good`` flags global part ids; their local bits are masked out of
     the usable nodes' flood bitsets before unpacking, so only the slots
-    that freeze into the accumulators are ever materialized.  Bit
-    positions map to little-endian byte views, matching every platform
-    this stack runs on.
+    that freeze into the accumulators are ever materialized.  Bits are
+    unpacked one 64-bit word column at a time (little-endian byte
+    views, matching every platform this stack runs on), which bounds
+    the unpacked buffer at 64 bytes per node; a bit position is a local part
+    id, so each word yields the keys directly, in node order, and an
+    instance's keys are one contiguous run of them.
     """
     words = seen.shape[1]
     parts = np.flatnonzero(good[: batch.p_total])
@@ -610,13 +620,45 @@ def _good_flood_slots(np, batch: BatchCSR, seen, usable, good):
     ]
     hit = picked.any(axis=1)
     rows, picked = rows[hit], picked[hit]
-    bits = np.unpackbits(picked.view(np.uint8), axis=1, bitorder="little")
-    node_index, local_id = np.nonzero(bits)
-    nodes = rows[node_index]
-    ids = local_id.astype(np.int64) + batch.part_offsets[
-        batch.instance_of_node[nodes]
+    inst = batch.instance_of_node[rows]
+    row_size = np.diff(batch.node_offsets)[inst]
+    row_local = rows - batch.node_offsets[inst]
+    row_bounds = np.searchsorted(rows, batch.node_offsets)
+    chunks = []
+    for word in range(words):
+        column = np.ascontiguousarray(picked[:, word]).view(np.uint8)
+        bits = np.unpackbits(column.reshape(-1, 8), axis=1, bitorder="little")
+        row_index, bit = np.nonzero(bits)
+        keys = (bit + 64 * word) * row_size[row_index] + row_local[row_index]
+        bounds = np.searchsorted(row_index, row_bounds).tolist()
+        chunks.extend(
+            (k, keys[bounds[k] : bounds[k + 1]])
+            for k in range(batch.size)
+            if bounds[k + 1] > bounds[k]
+        )
+    return chunks
+
+
+def _slot_chunks(np, batch: BatchCSR, nodes, ids):
+    """Split ``(global node, global part id)`` slots by instance.
+
+    Returns ``(instance, keys)`` pairs, one per instance holding slots,
+    ``keys`` being its slots as local ``part * n + child`` keys
+    (unsorted).  The CoreSlow sweep's freeze; the flood's is
+    :func:`_good_flood_chunks`.
+    """
+    inst = batch.instance_of_node[nodes]
+    keys = ids - batch.part_offsets[inst]
+    keys *= np.diff(batch.node_offsets)[inst]
+    keys += nodes - batch.node_offsets[inst]
+    order = np.argsort(inst, kind="stable")
+    inst, keys = inst[order], keys[order]
+    heads = np.flatnonzero(np.diff(inst, prepend=-1))
+    ends = np.append(heads[1:], inst.size)
+    return [
+        (k, keys[head:end])
+        for head, end, k in zip(heads.tolist(), ends.tolist(), inst[heads].tolist())
     ]
-    return nodes, ids
 
 
 def _broadcast(size: int, values, default) -> List:
@@ -676,6 +718,13 @@ def _find_shortcut_wave(
     popcounts), and only the good parts' bits are unpacked, into the
     accumulators.
 
+    An instance's accumulator is a list of arrays of local
+    ``part * n + child`` keys (a tree edge is named by its child): one
+    chunk for the revalidated warm start and one per iteration that
+    froze parts.  A part freezes once, so the keys are distinct, and a
+    snapshot sorts them in place inside the result's ``array('q')``:
+    the shortcut's slot storage, grouped by part and ascending.
+
     ``instance_keys`` / ``pack_cache`` let the doubling driver reuse
     sub-batch packs across rungs whose active set repeats; the member
     table and part-internal components cached on each sub-batch
@@ -695,7 +744,7 @@ def _find_shortcut_wave(
         pack_cache = {}
 
     remaining: List[set] = []
-    acc: List[List[set]] = []
+    acc: List[List] = []  # per instance, chunks of part * n + child keys
     histories: List[List] = [[] for _ in range(size)]
     iterations = [0] * size
     for i in range(size):
@@ -705,18 +754,30 @@ def _find_shortcut_wave(
             # as the per-instance loop.
             state = state.revalidated_for(topologies[i], trees[i], partitions[i])
             remaining.append(set(state.remaining))
-            acc.append(
-                [set(state.shortcut.subgraph(p)) for p in range(partitions[i].size)]
+            carried = state.shortcut
+            parts = np.repeat(
+                np.arange(partitions[i].size, dtype=np.int64),
+                np.diff(np.frombuffer(carried.offsets, dtype=np.int64)),
             )
+            children = np.frombuffer(carried.children, dtype=np.int64)
+            acc.append([parts * topologies[i].n + children] if children.size else [])
         else:
             remaining.append(set(range(partitions[i].size)))
-            acc.append([set() for _ in range(partitions[i].size)])
+            acc.append([])
 
     def snapshot(i: int) -> TreeRestrictedShortcut:
-        # The accumulators only ever hold canonical (min, max) parent
-        # links, so skip __init__'s per-edge re-validation.
-        return TreeRestrictedShortcut._from_canonical(
-            trees[i], partitions[i], [frozenset(s) for s in acc[i]]
+        # Every child is a non-root tree node: no re-validation.
+        n = topologies[i].n
+        children = array("q", [0]) * sum(len(keys) for keys in acc[i])
+        keys = np.frombuffer(children, dtype=np.int64)
+        if acc[i]:
+            np.concatenate(acc[i], out=keys)
+        keys.sort()
+        bounds = np.arange(partitions[i].size + 1, dtype=np.int64) * n
+        offsets = array("q", np.searchsorted(keys, bounds).tolist())
+        np.remainder(keys, n, out=keys)
+        return TreeRestrictedShortcut._from_children(
+            trees[i], partitions[i], children, offsets
         )
 
     # Per-instance G[P_i] components, shared by every sub-batch pack.
@@ -890,29 +951,12 @@ def _find_shortcut_wave(
 
         # Freeze the good parts' edge slots into the accumulators.
         if use_fast:
-            g_nodes, g_ids = _good_flood_slots(
-                np, sub, seen, usable, good_global
-            )
+            chunks = _good_flood_chunks(np, sub, seen, usable, good_global)
         else:
             mask = good_global[entry_ids]
-            g_nodes, g_ids = entry_nodes[mask], entry_ids[mask]
-        if not g_ids.size:
-            continue
-        # One set update per frozen part: group the slots by global part.
-        order = np.argsort(g_ids)
-        g_ids, g_nodes = g_ids[order], g_nodes[order]
-        bases = sub.node_offsets[sub.instance_of_node[g_nodes]]
-        v_local = g_nodes - bases
-        p_local = sub.tree_parent[g_nodes] - bases
-        lo = np.minimum(v_local, p_local).tolist()
-        hi = np.maximum(v_local, p_local).tolist()
-        heads = np.flatnonzero(np.diff(g_ids, prepend=-1))
-        ends = np.append(heads[1:], g_ids.size).tolist()
-        for head, end, part in zip(heads.tolist(), ends, g_ids[heads].tolist()):
-            k = int(sub.instance_of_part[part])
-            acc[active[k]][part - int(sub.part_offsets[k])].update(
-                zip(lo[head:end], hi[head:end])
-            )
+            chunks = _slot_chunks(np, sub, entry_nodes[mask], entry_ids[mask])
+        for k, keys in chunks:
+            acc[active[k]].append(keys)
 
 
 def find_shortcut_doubling_batch(

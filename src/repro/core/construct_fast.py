@@ -88,15 +88,15 @@ batched engine and the quality kernels make.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.axes import Axis
 from repro.congest.randomness import seed_chunk_count
 from repro.congest.topology import Edge, Topology
 from repro.congest.trace import RoundLedger
 from repro.core.core_slow import CoreOutcome
-from repro.core.quality_fast import _find
-from repro.core.shortcut import TreeRestrictedShortcut
+from repro.core.quality_fast import _find, block_tops
+from repro.core.shortcut import TreeRestrictedShortcut, pack_children
 from repro.errors import ShortcutError
 from repro.graphs.csr import tree_arrays
 from repro.graphs.partitions import Partition
@@ -170,23 +170,20 @@ def part_internal_edges(topology: Topology, partition: Partition) -> int:
 def _canonical_shortcut(
     tree: SpanningTree,
     partition: Partition,
-    parent: List[int],
     ids_by_node: Iterable[Tuple[int, Iterable[int]]],
 ) -> TreeRestrictedShortcut:
     """Build from ``(child node, part ids using its parent edge)`` pairs.
 
-    Every edge is a ``(min, max)`` parent link of ``tree`` and every id
-    a part label, so the subgraphs are canonical by construction and
-    skip :class:`TreeRestrictedShortcut`'s re-validation.
+    Every node is a non-root tree node and every id a part label, so
+    the pairs are the shortcut's ``(part, child)`` slots as they stand
+    and skip :class:`TreeRestrictedShortcut`'s validation.
     """
-    subgraphs: List[Set[Edge]] = [set() for _ in range(partition.size)]
+    per_part: List[List[int]] = [[] for _ in range(partition.size)]
     for v, ids in ids_by_node:
-        p = parent[v]
-        edge = (v, p) if v < p else (p, v)
         for part in ids:
-            subgraphs[part].add(edge)
-    return TreeRestrictedShortcut._from_canonical(
-        tree, partition, [frozenset(edges) for edges in subgraphs]
+            per_part[part].append(v)
+    return TreeRestrictedShortcut._from_children(
+        tree, partition, *pack_children(per_part)
     )
 
 
@@ -279,9 +276,7 @@ def core_slow_direct(
         if part >= 0 and (participating_set is None or part in participating_set):
             own[v] = part
     kept, unusable, _by_node, rounds, messages = _upward_sweep(tree, own, 2 * c)
-    shortcut = _canonical_shortcut(
-        tree, partition, tree_arrays(tree).parent, kept.items()
-    )
+    shortcut = _canonical_shortcut(tree, partition, kept.items())
     if ledger is not None:
         ledger.charge_phase("core-slow", rounds, messages)
     return CoreOutcome(
@@ -404,7 +399,6 @@ def core_fast_direct(
     shortcut = _canonical_shortcut(
         tree,
         partition,
-        parent,
         ((v, q_ids[v]) for v in range(n) if usable[v] and q_ids[v]),
     )
     if ledger is not None:
@@ -440,8 +434,9 @@ def verification_counts_direct(
 
     A block of ``H_i`` is a subtree of ``T`` and a tree edge is named by
     its child, so a member's block is keyed by its topmost
-    ancestor-or-self reachable through ``H_i`` (memoised along each
-    walk).  The components of ``G[P_i]`` come from the cached
+    ancestor-or-self reachable through ``H_i``
+    (:func:`~repro.core.quality_fast.block_tops` over the part's slot
+    children).  The components of ``G[P_i]`` come from the cached
     :func:`~repro.core.partwise_fast.part_scan_cached`: a part with one
     of them answers with its number of distinct keys, and only split
     parts merge their components along shared blocks.
@@ -457,20 +452,7 @@ def verification_counts_direct(
 
     for index in range(partition.size):
         members = partition.members(index)
-        # Children whose parent edge is in H_i.
-        lifted = {a if parent[a] == b else b for a, b in shortcut.subgraph(index)}
-        top: Dict[int, int] = {}
-        for v in members:
-            if v in top or v not in lifted:
-                continue
-            path = []
-            x = v
-            while x in lifted and x not in top:
-                path.append(x)
-                x = parent[x]
-            root = top.get(x, x)
-            for y in path:
-                top[y] = root
+        top = block_tops(parent, shortcut.part_children(index))
         if index not in scan.split:
             count = len({top.get(v, v) for v in members})
             per_part[index] = count if 0 < count <= b_limit else None
@@ -537,13 +519,12 @@ def charge_verification_model(
         return
     from repro.core.quality_fast import shortcut_congestion
 
-    edge_slots = sum(len(subgraph) for subgraph in shortcut.subgraphs)
     charge_verification_terms(
         ledger,
         b_limit,
         shortcut.tree.height,
         shortcut_congestion(shortcut),
-        edge_slots,
+        len(shortcut.children),
         part_internal_edges(topology, shortcut.partition),
         topology.m,
     )

@@ -26,6 +26,8 @@ kernels and charges the ledger from the analytic cost model.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
@@ -34,7 +36,7 @@ from repro.congest.randomness import (
     mix,
     share_randomness,
 )
-from repro.congest.topology import Edge, Topology
+from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.core.construct_fast import (
     resolve_mode,
@@ -45,6 +47,7 @@ from repro.core.core_slow import core_slow
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.verification import verification
 from repro.errors import ConstructionFailedError
+from repro.graphs.csr import tree_arrays
 from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
@@ -101,21 +104,22 @@ class ConstructionState:
                 f"{partition.size} parts / {partition.n} nodes; re-derive "
                 f"the state for the new partition instead of reusing it"
             )
-        tree_edges = tree.edges
-        topology_edges = topology._edge_lookup()
+        old_parent = tree_arrays(old.tree).parent
+        parent = tree_arrays(tree).parent
+        same_tree = old.tree is tree
+        # A tree edge of ``tree`` is an edge of ``topology`` unless the
+        # tree spans another graph (say, one that has since lost edges).
+        adjacency = None if _tree_in_topology(tree, topology) else topology._adjacency()
         same_members = old.partition is partition
         remaining = set(self.remaining)
-        subgraphs: List[FrozenSet[Edge]] = []
+        children = array("q")
+        offsets = array("q", [0])
         for index in range(partition.size):
-            if index in remaining:
-                subgraphs.append(frozenset())
-                continue
-            # Shortcut edges are canonical, so two subset tests check
-            # every edge against the tree and the topology.
-            subgraph = old.subgraph(index)
+            kids = None if index in remaining else old.part_children(index)
+            if kids is not None and (not same_tree or adjacency is not None):
+                kids = _renamed(kids, old_parent, None if same_tree else parent, adjacency)
             valid = (
-                subgraph <= tree_edges
-                and subgraph <= topology_edges
+                kids is not None
                 and (
                     same_members
                     or old.partition.members(index) == partition.members(index)
@@ -123,17 +127,66 @@ class ConstructionState:
                 and _is_connected_subset(topology, partition.members(index))
             )
             if valid:
-                subgraphs.append(subgraph)
+                children.extend(kids)
             else:
                 remaining.add(index)
-                subgraphs.append(frozenset())
-        # Every kept subgraph is a subset of ``tree.edges``, so the
-        # rebuilt shortcut needs no per-edge re-validation.
+            offsets.append(len(children))
+        # Every kept child names a tree edge of ``tree``, so the rebuilt
+        # shortcut needs no per-edge re-validation.
         return ConstructionState(
             remaining=frozenset(remaining),
-            shortcut=TreeRestrictedShortcut._from_canonical(tree, partition, subgraphs),
+            shortcut=TreeRestrictedShortcut._from_children(
+                tree, partition, children, offsets
+            ),
             good_history=self.good_history,
         )
+
+
+def _tree_in_topology(tree: SpanningTree, topology: Topology) -> bool:
+    """Whether every edge of ``tree`` is an edge of ``topology``.
+
+    Both are immutable, so the tree caches the answer for the last
+    topology it was checked against: the doubling ladder asks about
+    one topology on every rung, and a failure sweep that asks about
+    many survivors keeps only the last one alive.
+    """
+    cached = tree._kernels.get("in-topology")
+    if cached is not None and cached[0] is topology:
+        return cached[1]
+    adjacency = topology._adjacency()  # sorted neighbor tuples
+    known = all(
+        p < 0 or _adjacent(adjacency, v, p)
+        for v, p in enumerate(tree_arrays(tree).parent)
+    )
+    tree._kernels["in-topology"] = (topology, known)
+    return known
+
+
+def _adjacent(adjacency, u: int, v: int) -> bool:
+    neighbors = adjacency[u]
+    at = bisect_left(neighbors, v)
+    return at < len(neighbors) and neighbors[at] == v
+
+
+def _renamed(kids, old_parent, parent, adjacency) -> Optional[array]:
+    """Re-name ``kids`` (children in the old tree) by their children in
+    the new tree (``parent``; ``None`` when the tree is the same), the
+    same node unless an edge flips orientation.  ``None`` if an edge is
+    in neither orientation a tree edge, or is missing from the
+    topology's ``adjacency`` (``None`` to skip that check)."""
+    renamed = []
+    for c in kids:
+        p = old_parent[c]
+        if parent is not None and parent[c] != p:
+            if parent[p] != c:
+                return None
+            c, p = p, c
+        if adjacency is not None and not _adjacent(adjacency, c, p):
+            return None
+        renamed.append(c)
+    if parent is not None:
+        renamed.sort()
+    return array("q", renamed)
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,7 @@ per block, one ``min`` over adjacent blocks per superstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.congest.algorithm import NodeAlgorithm
 from repro.congest.engine import EngineLike
@@ -42,7 +41,7 @@ from repro.congest.simulator import Simulator
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.core.quality import BlockComponent
-from repro.core.quality_fast import block_components
+from repro.core.quality_fast import block_tops
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.tree_routing import (
     SubtreeTask,
@@ -52,6 +51,7 @@ from repro.core.tree_routing import (
     convergecast as subtree_convergecast,
     make_task,
 )
+from repro.graphs.csr import tree_arrays
 from repro.graphs.spanning_trees import SpanningTree
 
 Values = Dict[int, Optional[int]]
@@ -128,15 +128,37 @@ class PartwiseEngine:
         # node knows which parts use its parent edge (the construction
         # outputs) plus the block-root depth from the paper's
         # "distributed representation" (Section 4.1).
+        # A block is keyed by its topmost ancestor-or-self through H_i
+        # (quality_fast.block_tops); all parts' blocks come from one
+        # pass over the shortcut's slot children.
         self.blocks: List[BlockComponent] = []
         self.block_of: Dict[int, BlockComponent] = {}  # Pi member -> its block
         self._task_key_of: Dict[int, TaskKey] = {}  # Pi member -> its block's task
+        arrays = tree_arrays(self.tree)
+        parent, depth = arrays.parent, arrays.depth
         for index in range(self.partition.size):
-            for block in block_components(shortcut, index):
+            kids = shortcut.part_children(index)
+            top = block_tops(parent, kids)
+            members_of: Dict[int, List[int]] = {}
+            for v in self.partition.members(index):
+                members_of.setdefault(top.get(v, v), []).append(v)
+            nodes_of: Dict[int, set] = {root: set(m) for root, m in members_of.items()}
+            for c in kids:
+                nodes = nodes_of.get(top[c])
+                if nodes is not None:  # else a block that misses P_i
+                    nodes.add(c)
+                    nodes.add(parent[c])
+            for root in sorted(members_of, key=lambda r: (depth[r], r)):
+                block = BlockComponent(
+                    part=index,
+                    root=root,
+                    root_depth=depth[root],
+                    nodes=frozenset(nodes_of[root]),
+                )
                 self.blocks.append(block)
-                for v in block.nodes & self.partition.members(index):
+                for v in members_of[root]:
                     self.block_of[v] = block
-                    self._task_key_of[v] = (block.part, block.root)
+                    self._task_key_of[v] = (index, root)
         self.tasks: Dict[Tuple[int, int], SubtreeTask] = {
             (blk.part, blk.root): make_task(self.tree, blk.part, blk.nodes)
             for blk in self.blocks

@@ -4,13 +4,15 @@ This module mirrors the engine split of :mod:`repro.congest.engine` at
 the analysis layer: :mod:`repro.core.quality` remains the executable
 reference (dict-of-set walks, transparently faithful to Definitions 1
 and 3), while the functions here compute the *same* quantities on the
-flat-array structures of :mod:`repro.graphs.csr`:
+flat-array structures of :mod:`repro.graphs.csr` and on the shortcut's
+``(part, child)`` slot storage:
 
-* **block components / counts** — an int-array union-find with path
-  halving over a reusable ``parent`` array (reset via a touched list,
-  not reallocated per part);
-* **congestion** — counting arrays indexed by dense edge id instead of
-  a per-edge ``set`` of parts;
+* **block counts** — a block of ``H_i`` is a subtree of ``T``, so a
+  member's block is named by its topmost ancestor-or-self through
+  ``H_i`` (:func:`block_tops`, memoised walks over the part's slot
+  children); a part's count is its members' number of distinct tops;
+* **congestion** — one count per slot child (a tree edge is named by
+  its child) instead of a per-edge ``set`` of parts;
 * **dilation** — frontier-list BFS over a local adjacency of each
   communication subgraph, with an exact eccentricity-bounding early
   exit (:func:`repro.graphs.csr.bounded_diameter`): each BFS pins
@@ -29,13 +31,15 @@ reference reports come from ``quality.measure_reference``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_left
+from collections import Counter
+from typing import Dict, List, Optional, Sequence
 
 from repro.congest.topology import Topology
-from repro.core.quality import BlockComponent, QualityReport
+from repro.core.quality import QualityReport
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
-from repro.graphs.csr import adjacency_csr, bounded_diameter, edge_ids, tree_arrays
+from repro.graphs.csr import adjacency_csr, bounded_diameter, tree_arrays
 
 
 def _find(parent: List[int], x: int) -> int:
@@ -46,72 +50,44 @@ def _find(parent: List[int], x: int) -> int:
     return x
 
 
-def block_components(
-    shortcut: TreeRestrictedShortcut, index: int
-) -> List[BlockComponent]:
-    """Block components of part ``index`` — fast twin of
-    :func:`repro.core.quality.block_components`."""
-    depth = tree_arrays(shortcut.tree).depth
-    members = shortcut.partition.members(index)
-    labels = shortcut.partition.labels
-    parent = list(range(shortcut.partition.n))
+def block_tops(parent: List[int], kids: Sequence[int]) -> Dict[int, int]:
+    """Each slot child's topmost ancestor-or-self through ``H_i``.
 
-    involved = set(members)
-    for u, v in shortcut.subgraph(index):
-        involved.add(u)
-        involved.add(v)
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-
-    groups: Dict[int, List[int]] = {}
-    for node in involved:
-        groups.setdefault(_find(parent, node), []).append(node)
-
-    blocks = []
-    for nodes in groups.values():
-        if not any(labels[v] == index for v in nodes):
-            continue  # not a *block* component: it misses P_i entirely
-        root = min(nodes, key=lambda v: (depth[v], v))
-        blocks.append(
-            BlockComponent(
-                part=index,
-                root=root,
-                root_depth=depth[root],
-                nodes=frozenset(nodes),
-            )
-        )
-    blocks.sort(key=lambda blk: (blk.root_depth, blk.root))
-    return blocks
+    ``kids`` are part ``i``'s slot children (the child nodes of its
+    ``H_i`` edges).  A block of ``H_i`` is a subtree of ``T``, so its
+    top node names it; a node absent from the returned map is its own
+    top.  Walks are memoised, so the cost is O(|H_i|).
+    """
+    lifted = set(kids)
+    top: Dict[int, int] = {}
+    for v in kids:
+        if v in top:
+            continue
+        path = []
+        x = v
+        while x in lifted and x not in top:
+            path.append(x)
+            x = parent[x]
+        root = top.get(x, x)
+        for y in path:
+            top[y] = root
+    return top
 
 
 def block_counts(shortcut: TreeRestrictedShortcut) -> List[int]:
-    """Number of block components of each part (array union-find).
-
-    One ``parent`` array serves every part: only entries touched by a
-    part's edges are reset before the next part, so the total cost is
-    O(n + Σ|H_i| α) instead of a dict rebuild per part.
-    """
+    """Number of block components of each part: the distinct tops
+    (:func:`block_tops`) over the part's members."""
+    parent = tree_arrays(shortcut.tree).parent
     partition = shortcut.partition
-    parent = list(range(partition.n))
     counts: List[int] = []
     for index in range(partition.size):
-        touched: List[int] = []
-        for u, v in shortcut.subgraph(index):
-            touched.append(u)
-            touched.append(v)
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-        roots = set()
-        for v in partition.members(index):
-            roots.add(_find(parent, v))
-        counts.append(len(roots))
-        # Every written entry is an edge endpoint (unions write at
-        # roots reached from endpoints; halving writes along those
-        # paths), so resetting the endpoints restores the identity.
-        for v in touched:
-            parent[v] = v
+        members = partition.members(index)
+        kids = shortcut.part_children(index)
+        if not kids:
+            counts.append(len(members))
+            continue
+        top = block_tops(parent, kids)
+        counts.append(len({top.get(v, v) for v in members}))
     return counts
 
 
@@ -123,36 +99,32 @@ def block_parameter(shortcut: TreeRestrictedShortcut) -> int:
 def shortcut_congestion(shortcut: TreeRestrictedShortcut) -> int:
     """Max number of subgraphs ``H_i`` sharing one tree edge.
 
-    Counts multiplicities directly instead of materialising the
-    ``edge -> frozenset(parts)`` map.
+    A tree edge is named by its child, so this is the largest
+    multiplicity of a node among the slot children.
     """
-    count: Dict[tuple, int] = {}
-    best = 0
-    for subgraph in shortcut.subgraphs:
-        for edge in subgraph:
-            value = count.get(edge, 0) + 1
-            count[edge] = value
-            if value > best:
-                best = value
-    return best
+    return max(Counter(shortcut.children).values(), default=0)
 
 
 def congestion(shortcut: TreeRestrictedShortcut, topology: Topology) -> int:
-    """Definition 1 congestion via counting arrays over dense edge ids."""
-    index_of = edge_ids(topology)
-    count = [0] * topology.m
-    for subgraph in shortcut.subgraphs:
-        for edge in subgraph:
-            count[index_of[edge]] += 1
+    """Definition 1 congestion: per-child slot counts over the tree
+    edges, plus the owning part's ``G[P_i]`` use of each graph edge."""
+    parent = tree_arrays(shortcut.tree).parent
     labels = shortcut.partition.labels
+    children, offsets = shortcut.children, shortcut.offsets
+    count = Counter(children)
     best = 0
-    for i, (u, v) in enumerate(topology.edges):
-        users = count[i]
+    for u, v in topology.edges:
+        child = u if parent[u] == v else v if parent[v] == u else -1
+        users = count[child]
         lu = labels[u]
         # At most one part contains both endpoints; it uses the edge
-        # through G[P_i] unless the edge is already counted via H_i.
-        if lu >= 0 and lu == labels[v] and (u, v) not in shortcut.subgraph(lu):
-            users += 1
+        # through G[P_i] unless the edge is already counted via H_i
+        # (its child sits in the part's ascending slot range).
+        if lu >= 0 and lu == labels[v]:
+            hi = offsets[lu + 1]
+            at = bisect_left(children, child, offsets[lu], hi) if child >= 0 else hi
+            if at == hi or children[at] != child:
+                users += 1
         if users > best:
             best = users
     return best
@@ -169,34 +141,32 @@ def dilation(
     ``G[P_i] + H_i``, like the reference.
     """
     csr = adjacency_csr(topology)
+    parent = tree_arrays(shortcut.tree).parent
     labels = shortcut.partition.labels
     indices = range(shortcut.size) if index is None else [index]
     worst = 0
     for i in indices:
-        diameter = _communication_diameter(shortcut, csr, labels, i)
+        diameter = _communication_diameter(shortcut, csr, parent, labels, i)
         if diameter > worst:
             worst = diameter
     return worst
 
 
-def _communication_diameter(shortcut, csr, labels, index: int) -> int:
+def _communication_diameter(shortcut, csr, parent, labels, index: int) -> int:
     members = shortcut.partition.members(index)
-    subgraph_edges = shortcut.subgraph(index)
+    kids = shortcut.part_children(index)
 
     # Local id space: part members plus H_i endpoints.
     local: Dict[int, int] = {}
-    nodes: List[int] = []
     for v in members:
-        local[v] = len(nodes)
-        nodes.append(v)
-    for u, v in subgraph_edges:
-        if u not in local:
-            local[u] = len(nodes)
-            nodes.append(u)
-        if v not in local:
-            local[v] = len(nodes)
-            nodes.append(v)
-    k = len(nodes)
+        local[v] = len(local)
+    for c in kids:
+        if c not in local:
+            local[c] = len(local)
+        p = parent[c]
+        if p not in local:
+            local[p] = len(local)
+    k = len(local)
     if k == 1:
         return 0
 
@@ -208,9 +178,10 @@ def _communication_diameter(shortcut, csr, labels, index: int) -> int:
         for w in neighbors[indptr[v] : indptr[v + 1]]:
             if labels[w] == index:
                 row.append(local[w])
-    for u, v in subgraph_edges:
-        adjacency[local[u]].append(local[v])
-        adjacency[local[v]].append(local[u])
+    for c in kids:
+        lc, lp = local[c], local[parent[c]]
+        adjacency[lc].append(lp)
+        adjacency[lp].append(lc)
 
     diameter = bounded_diameter(adjacency)
     if diameter < 0:

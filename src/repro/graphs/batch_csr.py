@@ -14,7 +14,8 @@ without a per-instance base register.
 
 :class:`ShortcutPack` extends a batch with one shortcut per instance:
 flat arrays over the assigned edge slots (``Σ|H_i|`` across the whole
-batch) plus the *clone table* — the deduplicated ``(part, node)``
+batch, read off each shortcut's ``(part, child)`` slot arrays) plus the
+*clone table* — the deduplicated ``(part, node)``
 pairs over part members and ``H_i`` endpoints.  Clones are the batch
 twin of the per-part local id spaces the per-instance kernels rebuild
 per part: a node appears once per part whose communication subgraph
@@ -36,11 +37,11 @@ skip on :func:`numpy_available`.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.congest.topology import Topology
 from repro.errors import ReproError
-from repro.graphs.csr import edge_ids, tree_arrays
+from repro.graphs.csr import tree_arrays
 from repro.graphs.partitions import Partition
 from repro.graphs.spanning_trees import SpanningTree
 
@@ -309,11 +310,18 @@ def _np_tree(np, tree: SpanningTree):
 class ShortcutPack:
     """A :class:`BatchCSR` plus one tree-restricted shortcut per instance.
 
+    The edge slots come straight from each shortcut's ``(part, child)``
+    slot storage (:class:`~repro.core.shortcut.TreeRestrictedShortcut`):
+    the children are viewed with :func:`numpy.frombuffer` and offset to
+    global ids, ``h_part`` repeats each part id by its slot count, the
+    parents are a ``tree_parent`` gather and ``h_edge`` a gather of each
+    node's parent-edge id.  No Python loop runs over the slots.
+
     Attributes (all numpy arrays, global ids)
     -----------------------------------------
     h_part, h_edge:
-        One entry per assigned edge slot across the batch: the owning
-        global part id and the global dense edge id.
+        One entry per assigned edge slot across the batch, grouped by
+        part: the owning global part id and the global dense edge id.
     clone_part, clone_starts:
         The clone table: deduplicated ``(part, node)`` pairs over part
         members and ``H_i`` endpoints, sorted by part then node; the
@@ -351,28 +359,36 @@ class ShortcutPack:
             )
         self.batch = batch
 
-        # --- flat edge-slot arrays (one Python pass over the frozensets;
-        # everything after this loop is numpy) ---
-        slots: List[Tuple[int, int, int, int]] = []
-        for b, shortcut in enumerate(shortcuts):
-            n0 = int(batch.node_offsets[b])
-            p0 = int(batch.part_offsets[b])
-            e0 = int(batch.edge_offsets[b])
-            ids = edge_ids(batch.topologies[b])
-            slots.extend(
-                (p0 + index, n0 + edge[0], n0 + edge[1], e0 + ids[edge])
-                for index, subgraph in enumerate(shortcut.subgraphs)
-                for edge in subgraph
-            )
-        flat = np.asarray(slots, dtype=np.int64).reshape(-1, 4)
-        h_part = flat[:, 0].copy()
-        h_u = flat[:, 1].copy()
-        h_v = flat[:, 2].copy()
+        # --- flat edge-slot arrays, read straight off each shortcut's
+        # (part, child) slot storage ---
+        empty = np.empty(0, dtype=np.int64)  # seeds an empty batch
+        h_child = np.concatenate(
+            [empty]
+            + [
+                np.frombuffer(shortcut.children, dtype=np.int64) + batch.node_offsets[b]
+                for b, shortcut in enumerate(shortcuts)
+            ]
+        )
+        h_part = np.repeat(
+            np.arange(batch.p_total, dtype=np.int64),
+            np.concatenate(
+                [empty]
+                + [
+                    np.diff(np.frombuffer(shortcut.offsets, dtype=np.int64))
+                    for shortcut in shortcuts
+                ]
+            ),
+        )
+        h_parent = batch.tree_parent[h_child]
+        # Each node's parent edge, as a global dense edge id.
+        parent_edge = np.full(batch.n_total, -1, dtype=np.int64)
+        edge_index = np.arange(batch.m_total, dtype=np.int64)
+        down = batch.tree_parent[batch.edge_u] == batch.edge_v
+        parent_edge[batch.edge_u[down]] = edge_index[down]
+        up = batch.tree_parent[batch.edge_v] == batch.edge_u
+        parent_edge[batch.edge_v[up]] = edge_index[up]
         self.h_part = h_part
-        self.h_edge = flat[:, 3].copy()
-        deeper = batch.tree_depth[h_u] > batch.tree_depth[h_v]
-        h_child = np.where(deeper, h_u, h_v)
-        h_parent = np.where(deeper, h_v, h_u)
+        self.h_edge = parent_edge[h_child]
 
         # --- clone table: (part, node) pairs keyed as part*stride+node ---
         # Members are lexsorted by (part, node), so member_keys is

@@ -24,6 +24,7 @@ from repro.core.existence import (
     greedy_capped_shortcut,
 )
 from repro.core.find_shortcut import find_shortcut
+from repro.core.partwise import PartwiseEngine
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
 from repro.graphs import generators, partitions
@@ -75,8 +76,9 @@ def _assert_all_identical(shortcut, topology):
     assert quality_fast.congestion(shortcut, topology) == quality.congestion(
         shortcut, topology
     )
+    engine = PartwiseEngine(topology, shortcut, backend="direct")
     for index in range(shortcut.size):
-        assert quality_fast.block_components(shortcut, index) == (
+        assert [blk for blk in engine.blocks if blk.part == index] == (
             quality.block_components(shortcut, index)
         )
     try:

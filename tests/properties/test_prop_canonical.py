@@ -1,9 +1,9 @@
 """Property-based tests for the canonical shortcut builds.
 
 Both direct cores, ``restricted_to``, ``merged_with``, ``empty`` and
-``ConstructionState.revalidated_for`` build through
-``TreeRestrictedShortcut._from_canonical`` and skip the constructor's
-validation.  Every such build must equal what the
+``ConstructionState.revalidated_for`` build ``(part, child)`` slots
+through ``TreeRestrictedShortcut._from_children`` and skip the
+constructor's validation.  Every such build must equal what the
 validating constructor makes of the same subgraphs — frozensets of
 canonical tree edges over the same tree and partition — and carry the
 edges the reference twins assign.

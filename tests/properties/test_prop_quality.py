@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core import quality, quality_fast
+from repro.core.partwise import PartwiseEngine
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.errors import ShortcutError
 from repro.graphs import generators, partitions
@@ -74,11 +75,15 @@ def test_scalar_measures_agree(drawn):
 
 @given(instances())
 def test_block_components_agree(drawn):
-    _topology, _tree, partition, shortcut = drawn
+    """The partwise engine's one-pass blocks are Definition 3's."""
+    topology, _tree, partition, shortcut = drawn
+    engine = PartwiseEngine(topology, shortcut, backend="direct")
     for index in range(partition.size):
-        assert quality_fast.block_components(shortcut, index) == (
+        assert [blk for blk in engine.blocks if blk.part == index] == (
             quality.block_components(shortcut, index)
         )
+    for v, block in engine.block_of.items():
+        assert partition.part_of(v) == block.part and v in block.nodes
 
 
 @given(instances())
