@@ -36,14 +36,16 @@ search :func:`find_shortcut_doubling_batch`.  Their vectorized twins:
   :func:`repro.graphs.batch_csr.bounded_diameter_batch`: every
   communication subgraph advances the same exact scan, all of them in
   lockstep, one vectorized gather per BFS level;
-* **the ladder's rungs** (:func:`_find_shortcut_wave`) — the
+* **the ladder's rungs** (:func:`_find_shortcut_wave`), CoreFast only
+  (CoreSlow runs per instance) and climbed by the same Appendix A
+  driver as the per-instance search — CoreFast's Phase A, the
   Algorithm 1 upward sweep of
-  :func:`repro.core.construct_fast._upward_sweep` becomes a
-  level-synchronous pass (:func:`_upward_sweep_batch`): BFS-tree
-  parents sit exactly one level up, so each depth's merge of forwarded
-  id sets is one :func:`numpy.unique` over ``node * P + id`` keys, and
-  the ``done``/``seal`` round recurrence scatters with ``maximum.at``.
-  The Phase B flood is a lockstep bitset replay
+  :func:`repro.core.construct_fast._upward_sweep` over the sampled
+  parts, becomes a level-synchronous pass (:func:`_upward_sweep_batch`):
+  BFS-tree parents sit exactly one level up, so each depth's merge of
+  forwarded id sets is one :func:`numpy.unique` over ``node * P + id``
+  keys, and the ``done``/``seal`` round recurrence scatters with
+  ``maximum.at``.  The Phase B flood is a lockstep bitset replay
   (:func:`_flood_up_batch`), and Verification reads each member's
   block off the flood's node forest (:func:`_forest_counts`) and
   reduces verdicts over the cached part-internal components
@@ -76,12 +78,11 @@ without numpy raises the install-hint error of
 
 from __future__ import annotations
 
-import math
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axes import Axis
-from repro.congest.randomness import draw_shared_seed, mix
+from repro.congest.randomness import mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.core.quality import QualityReport
@@ -386,7 +387,7 @@ def _forest_counts(
 
 
 # ----------------------------------------------------------------------
-# Algorithm 1 upward sweep (CoreSlow)
+# CoreFast Phase A: the Algorithm 1 upward sweep over the sampled parts
 # ----------------------------------------------------------------------
 
 
@@ -400,10 +401,9 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
     every per-node id-set union one ``np.unique`` over
     ``node * P + id`` keys for the whole level across all instances.
 
-    Returns ``(entry_nodes, entry_ids, unusable_nodes, rounds,
-    messages)``: the usable (node, id) pairs, the nodes whose parent
-    edge went unusable, and the exact per-instance round/message totals
-    of the streaming program.
+    Returns ``(unusable_nodes, rounds, messages)``: the nodes whose
+    parent edge went unusable, and the exact per-instance round/message
+    totals of the streaming program.
     """
     total_parts = max(batch.p_total, 1)
     done = np.zeros(batch.n_total, dtype=np.int64)
@@ -414,8 +414,6 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
     starts = batch.depth_starts
     empty = np.empty(0, dtype=np.int64)
     pending_node, pending_id = empty, empty
-    entry_node_chunks: List = []
-    entry_id_chunks: List = []
     unusable_chunks: List = []
 
     for depth in range(batch.max_depth, 0, -1):
@@ -444,12 +442,8 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
             q_eff[nodes] = np.where(over, 0, q)
             unusable_chunks.append(nodes[over])
             keep = ~np.repeat(over, q)
-            kept_node = pair_node[keep]
-            kept_id = pair_id[keep]
-            entry_node_chunks.append(kept_node)
-            entry_id_chunks.append(kept_id)
-            pending_node = parent[kept_node]
-            pending_id = kept_id
+            pending_node = parent[pair_node[keep]]
+            pending_id = pair_id[keep]
         else:
             pending_node, pending_id = empty, empty
         done[level] = seal[level] + q_eff[level]
@@ -466,14 +460,10 @@ def _upward_sweep_batch(np, batch: BatchCSR, own, caps):
         np, q_eff, batch.node_offsets
     )
 
-    entry_nodes = (
-        np.concatenate(entry_node_chunks) if entry_node_chunks else empty
-    )
-    entry_ids = np.concatenate(entry_id_chunks) if entry_id_chunks else empty
     unusable_nodes = (
         np.concatenate(unusable_chunks) if unusable_chunks else empty
     )
-    return entry_nodes, entry_ids, unusable_nodes, rounds, messages
+    return unusable_nodes, rounds, messages
 
 
 # ----------------------------------------------------------------------
@@ -593,8 +583,10 @@ def _flood_up_batch(np, batch: BatchCSR, own, usable):
 
 
 def _good_flood_chunks(np, batch: BatchCSR, seen, usable, good):
-    """The good parts' edge slots, read off the flood bitsets, as
-    :func:`_slot_chunks` pairs.
+    """The good parts' edge slots, read off the flood bitsets.
+
+    Returns ``(instance, keys)`` pairs, one per instance and bitset
+    word holding slots, ``keys`` being local ``part * n + child`` keys.
 
     ``good`` flags global part ids; their local bits are masked out of
     the usable nodes' flood bitsets before unpacking, so only the slots
@@ -639,28 +631,6 @@ def _good_flood_chunks(np, batch: BatchCSR, seen, usable, good):
     return chunks
 
 
-def _slot_chunks(np, batch: BatchCSR, nodes, ids):
-    """Split ``(global node, global part id)`` slots by instance.
-
-    Returns ``(instance, keys)`` pairs, one per instance holding slots,
-    ``keys`` being its slots as local ``part * n + child`` keys
-    (unsorted).  The CoreSlow sweep's freeze; the flood's is
-    :func:`_good_flood_chunks`.
-    """
-    inst = batch.instance_of_node[nodes]
-    keys = ids - batch.part_offsets[inst]
-    keys *= np.diff(batch.node_offsets)[inst]
-    keys += nodes - batch.node_offsets[inst]
-    order = np.argsort(inst, kind="stable")
-    inst, keys = inst[order], keys[order]
-    heads = np.flatnonzero(np.diff(inst, prepend=-1))
-    ends = np.append(heads[1:], inst.size)
-    return [
-        (k, keys[head:end])
-        for head, end, k in zip(heads.tolist(), ends.tolist(), inst[heads].tolist())
-    ]
-
-
 def _broadcast(size: int, values, default) -> List:
     """Broadcast a scalar / ``None`` / sequence to one value per instance."""
     if values is None:
@@ -683,16 +653,15 @@ def _find_shortcut_wave(
     c_list: Sequence[int],
     b_list: Sequence[int],
     *,
-    use_fast: bool,
-    shared_seeds: Sequence[Optional[int]],
+    shared_seeds: Sequence[int],
     gamma: float,
     limits: Sequence[int],
     ledgers: Sequence[RoundLedger],
     warm_starts: Sequence,
-    instance_keys: Optional[Sequence] = None,
-    pack_cache: Optional[Dict] = None,
+    instance_keys: Sequence,
+    pack_cache: Dict,
 ) -> List:
-    """One lockstep FindShortcut run over a batch of instances.
+    """One lockstep CoreFast FindShortcut run over a batch of instances.
 
     Replays the Theorem 3 iteration loop of
     :func:`repro.core.find_shortcut.find_shortcut` (direct mode) across
@@ -705,16 +674,15 @@ def _find_shortcut_wave(
     seeds.  Returns one entry per instance: a
     :class:`~repro.core.find_shortcut.FindShortcutResult` on success or
     the :class:`~repro.errors.ConstructionFailedError` *value* (not
-    raised) on budget exhaustion, both bit-identical to the loop.
+    raised) on budget exhaustion, both built as the loop builds them.
 
     Verification reads the tentative shortcut off the node forest
-    instead of building it.  CoreFast's Phase B floods every id of a
-    remaining part up the BFS tree until the first unusable edge
-    (Algorithm 2, steps 3–5), and CoreSlow's sweep likewise keeps every
-    id below its cap, so part ``i``'s slots are exactly the chains from
-    its members up to their first unusable ancestor-or-self, and that
-    node names the member's block (:func:`_forest_counts`).  The
-    Lemma 3 ledger terms need only per-node slot counts (flood bitset
+    instead of building it.  Phase B floods every id of a remaining
+    part up the BFS tree until the first unusable edge (Algorithm 2,
+    steps 3–5), so part ``i``'s slots are exactly the chains from its
+    members up to their first unusable ancestor-or-self, and that node
+    names the member's block (:func:`_forest_counts`).  The Lemma 3
+    ledger terms need only per-node slot counts (flood bitset
     popcounts), and only the good parts' bits are unpacked, into the
     accumulators.
 
@@ -725,7 +693,7 @@ def _find_shortcut_wave(
     snapshot sorts them in place inside the result's ``array('q')``:
     the shortcut's slot storage, grouped by part and ascending.
 
-    ``instance_keys`` / ``pack_cache`` let the doubling driver reuse
+    ``instance_keys`` / ``pack_cache`` let the doubling ladder reuse
     sub-batch packs across rungs whose active set repeats; the member
     table and part-internal components cached on each sub-batch
     :class:`BatchCSR` ride along, and each instance's part-internal
@@ -734,15 +702,9 @@ def _find_shortcut_wave(
     """
     from repro.core.construct_fast import charge_verification_terms
     from repro.core.core_fast import active_parts, sampling_parameters
-    from repro.core.find_shortcut import ConstructionState, FindShortcutResult
-    from repro.errors import ConstructionFailedError
+    from repro.core.find_shortcut import _settled
 
     size = len(topologies)
-    if instance_keys is None:
-        instance_keys = list(range(size))
-    if pack_cache is None:
-        pack_cache = {}
-
     remaining: List[set] = []
     acc: List[List] = []  # per instance, chunks of part * n + child keys
     histories: List[List] = [[] for _ in range(size)]
@@ -787,29 +749,11 @@ def _find_shortcut_wave(
     while True:
         still = []
         for i in active:
-            if not remaining[i]:
-                results[i] = FindShortcutResult(
-                    shortcut=snapshot(i),
-                    c=c_list[i],
-                    b=b_list[i],
-                    iterations=iterations[i],
-                    good_history=tuple(histories[i]),
-                    ledger=ledgers[i],
-                )
-            elif iterations[i] >= limits[i]:
-                results[i] = ConstructionFailedError(
-                    f"FindShortcut(c={c_list[i]}, b={b_list[i]}): "
-                    f"{len(remaining[i])} parts still "
-                    f"bad after {iterations[i]} iterations — parameters "
-                    f"too small?",
-                    iterations=iterations[i],
-                    state=ConstructionState(
-                        remaining=frozenset(remaining[i]),
-                        shortcut=snapshot(i),
-                        good_history=tuple(histories[i]),
-                    ),
-                )
-            else:
+            results[i] = _settled(
+                c_list[i], b_list[i], iterations[i], limits[i], remaining[i],
+                histories[i], ledgers[i], lambda: snapshot(i),
+            )
+            if results[i] is None:
                 still.append(i)
         active = still
         if not active:
@@ -852,7 +796,7 @@ def _find_shortcut_wave(
         # One lockstep iteration: restrict injection to each instance's
         # remaining parts, flip the per-instance shared coins.
         rem_mask = np.zeros(sub.p_total + 1, dtype=bool)
-        act_mask = np.zeros(sub.p_total + 1, dtype=bool) if use_fast else None
+        act_mask = np.zeros(sub.p_total + 1, dtype=bool)
         caps = np.empty(sub.size, dtype=np.int64)
         # Global part ids, collected in lists and set in one scatter each.
         rem_ids: List[int] = []
@@ -861,56 +805,34 @@ def _find_shortcut_wave(
             iterations[i] += 1
             base = int(sub.part_offsets[k])
             rem_ids.extend(base + p for p in remaining[i])
-            if use_fast:
-                p_sample, tau = sampling_parameters(
-                    topologies[i].n, c_list[i], gamma
-                )
-                caps[k] = tau - 1
-                act = active_parts(
-                    partitions[i],
-                    mix(shared_seeds[i], iterations[i]),
-                    p_sample,
-                    remaining[i],
-                )
-                act_ids.extend(base + p for p in act)
-            else:
-                caps[k] = 2 * c_list[i]
-        rem_mask[rem_ids] = True
-        if use_fast:
-            act_mask[act_ids] = True
-        own_all = np.where(rem_mask[safe_labels], sub.labels, -1)
-        own_active = (
-            np.where(act_mask[safe_labels], sub.labels, -1)
-            if use_fast
-            else None
-        )
-
-        entry_nodes, entry_ids, unusable_nodes, rounds_a, messages_a = (
-            _upward_sweep_batch(
-                np, sub, own_active if use_fast else own_all, caps
+            p_sample, tau = sampling_parameters(topologies[i].n, c_list[i], gamma)
+            caps[k] = tau - 1
+            act = active_parts(
+                partitions[i],
+                mix(shared_seeds[i], iterations[i]),
+                p_sample,
+                remaining[i],
             )
+            act_ids.extend(base + p for p in act)
+        rem_mask[rem_ids] = True
+        act_mask[act_ids] = True
+        own_active = np.where(act_mask[safe_labels], sub.labels, -1)
+        own_all = np.where(rem_mask[safe_labels], sub.labels, -1)
+        unusable_nodes, rounds_a, messages_a = _upward_sweep_batch(
+            np, sub, own_active, caps
         )
         usable = sub.tree_parent >= 0
         usable[unusable_nodes] = False
-        if use_fast:
-            seen, rounds_b, messages_b = _flood_up_batch(
-                np, sub, own_all, usable
+        seen, rounds_b, messages_b = _flood_up_batch(np, sub, own_all, usable)
+        # A usable node holds one edge slot per id it has seen.
+        per_node = np.where(usable, popcount_rows(np, seen), 0)
+        for k, i in enumerate(active):
+            ledgers[i].charge_phase(
+                "core-fast/sample", int(rounds_a[k]), int(messages_a[k])
             )
-            # A usable node holds one edge slot per id it has seen.
-            per_node = np.where(usable, popcount_rows(np, seen), 0)
-            for k, i in enumerate(active):
-                ledgers[i].charge_phase(
-                    "core-fast/sample", int(rounds_a[k]), int(messages_a[k])
-                )
-                ledgers[i].charge_phase(
-                    "core-fast/flood", int(rounds_b[k]), int(messages_b[k])
-                )
-        else:
-            per_node = np.bincount(entry_nodes, minlength=sub.n_total)
-            for k, i in enumerate(active):
-                ledgers[i].charge_phase(
-                    "core-slow", int(rounds_a[k]), int(messages_a[k])
-                )
+            ledgers[i].charge_phase(
+                "core-fast/flood", int(rounds_b[k]), int(messages_b[k])
+            )
 
         # Batched Verification of the tentative shortcut, read off the
         # node forest; the ledger charge uses the same Lemma 3 terms as
@@ -946,17 +868,14 @@ def _find_shortcut_wave(
                 for p in good:
                     good_global[base + p] = True
                 remaining[i] -= good
-        if not good_global.any():
-            continue
 
         # Freeze the good parts' edge slots into the accumulators.
-        if use_fast:
-            chunks = _good_flood_chunks(np, sub, seen, usable, good_global)
-        else:
-            mask = good_global[entry_ids]
-            chunks = _slot_chunks(np, sub, entry_nodes[mask], entry_ids[mask])
-        for k, keys in chunks:
-            acc[active[k]].append(keys)
+        if good_global.any():
+            for k, keys in _good_flood_chunks(np, sub, seen, usable, good_global):
+                acc[active[k]].append(keys)
+        # Release this iteration's arrays before the next sweep and
+        # flood allocate theirs.
+        del seen, per_node, usable, own_active, own_all, count_maps
 
 
 def find_shortcut_doubling_batch(
@@ -966,7 +885,6 @@ def find_shortcut_doubling_batch(
     *,
     c_starts: Union[int, Sequence[int]] = 1,
     b_starts: Union[int, Sequence[int]] = 1,
-    use_fast: bool = True,
     seeds: Union[int, Sequence[int]] = 0,
     shared_seeds=None,
     gamma: float = 2.0,
@@ -978,27 +896,24 @@ def find_shortcut_doubling_batch(
     batch: Optional[str] = None,
 ) -> List:
     """Batch-axis entry point of
-    :func:`repro.core.doubling.find_shortcut_doubling`.
+    :func:`repro.core.doubling.find_shortcut_doubling` with CoreFast.
 
     ``batch="loop"`` (the default) runs the Appendix A search per
     instance with the selected ``mode``; ``batch="vector"`` climbs the
     whole ``(c, b)`` doubling ladder in lockstep rungs — the batch twin
-    of ``mode="direct"`` — with two levels of active-set compaction:
-    instances whose search succeeds drop off the ladder while
-    stragglers climb with doubled estimates (carrying their frozen
-    warm-start parts), and inside every rung the wave driver compacts
-    per iteration.  Trials (including the per-rung ledger-delta
-    breakdown), results, and ledgers match the direct-mode loop
-    bit-for-bit.  ``c_starts`` / ``b_starts`` / ``initial_states`` are
-    the warm-start entry points of incremental repair.
+    of ``mode="direct"`` — on the doubling driver the per-instance
+    search climbs, with two levels of active-set compaction: instances
+    whose search succeeds drop off the ladder while stragglers climb
+    with doubled estimates (carrying their frozen warm-start parts),
+    and inside every rung the wave driver compacts per iteration.
+    Trials (including the per-rung ledger-delta breakdown), results,
+    and ledgers match the direct-mode loop bit-for-bit.  ``c_starts`` /
+    ``b_starts`` / ``initial_states`` are the warm-start entry points
+    of incremental repair.  CoreSlow runs per instance only, in
+    :func:`~repro.core.doubling.find_shortcut_doubling`.
     """
-    from repro.core.construct_fast import share_randomness_cost
-    from repro.core.doubling import (
-        DoublingResult,
-        Trial,
-        find_shortcut_doubling,
-    )
-    from repro.errors import ConstructionFailedError
+    from repro.core.construct_fast import _shared_seed
+    from repro.core.doubling import _climb, find_shortcut_doubling
 
     size = len(topologies)
     if len(trees) != size or len(partitions) != size:
@@ -1006,8 +921,8 @@ def find_shortcut_doubling_batch(
             f"expected {size} trees and partitions, got "
             f"{len(trees)} and {len(partitions)}"
         )
-    c_list = [max(1, int(c)) for c in _broadcast(size, c_starts, 1)]
-    b_list = [max(1, int(b)) for b in _broadcast(size, b_starts, 1)]
+    c_list = [int(c) for c in _broadcast(size, c_starts, 1)]
+    b_list = [int(b) for b in _broadcast(size, b_starts, 1)]
     seed_list = _broadcast(size, seeds, 0)
     shared_list = _broadcast(size, shared_seeds, None)
     ledger_list = list(ledgers) if ledgers is not None else [None] * size
@@ -1028,7 +943,6 @@ def find_shortcut_doubling_batch(
                 partitions[i],
                 c_start=c_list[i],
                 b_start=b_list[i],
-                use_fast=use_fast,
                 seed=seed_list[i],
                 shared_seed=shared_list[i],
                 gamma=gamma,
@@ -1046,39 +960,22 @@ def find_shortcut_doubling_batch(
         ledger if ledger is not None else RoundLedger(barrier_depth=trees[i].height)
         for i, ledger in enumerate(ledger_list)
     ]
-    shared_vec = list(shared_list)
-    if use_fast:
-        for i in range(size):
-            if shared_vec[i] is None:
-                shared_vec[i] = draw_shared_seed(topologies[i].n, seed_list[i])
-                rounds, messages = share_randomness_cost(
-                    topologies[i].n, trees[i].height
-                )
-                ledger_vec[i].charge_phase("share-randomness", rounds, messages)
-    carried = list(state_list)
-    budgets = [
-        max(3, math.ceil(math.log2(partitions[i].size + 1)) + 2)
-        for i in range(size)
+    shared_vec = [
+        shared
+        if shared is not None
+        else _shared_seed(topologies[i], trees[i], seed_list[i], ledger_vec[i], "direct")
+        for i, shared in enumerate(shared_list)
     ]
-    trials: List[List] = [[] for _ in range(size)]
-    results: List = [None] * size
-    climbing = list(range(size))
     pack_cache: Dict = {}
-    for _trial_index in range(max_trials):
-        if not climbing:
-            break
-        before = {
-            i: (ledger_vec[i].total_rounds, ledger_vec[i].total_messages)
-            for i in climbing
-        }
-        wave = _find_shortcut_wave(
+
+    def rung(trial_index, climbing, c, b, budgets, carried):
+        return _find_shortcut_wave(
             np,
             [topologies[i] for i in climbing],
             [trees[i] for i in climbing],
             [partitions[i] for i in climbing],
-            [c_list[i] for i in climbing],
-            [b_list[i] for i in climbing],
-            use_fast=use_fast,
+            [c[i] for i in climbing],
+            [b[i] for i in climbing],
             shared_seeds=[shared_vec[i] for i in climbing],
             gamma=gamma,
             limits=[budgets[i] for i in climbing],
@@ -1087,49 +984,17 @@ def find_shortcut_doubling_batch(
             instance_keys=climbing,
             pack_cache=pack_cache,
         )
-        next_climbing = []
-        for k, i in enumerate(climbing):
-            outcome = wave[k]
-            delta_rounds = ledger_vec[i].total_rounds - before[i][0]
-            delta_messages = ledger_vec[i].total_messages - before[i][1]
-            if isinstance(outcome, ConstructionFailedError):
-                trials[i].append(
-                    Trial(
-                        c=c_list[i],
-                        b=b_list[i],
-                        succeeded=False,
-                        iterations=outcome.iterations,
-                        rounds=delta_rounds,
-                        messages=delta_messages,
-                    )
-                )
-                if warm_start and outcome.state is not None:
-                    carried[i] = outcome.state
-                c_list[i] *= 2
-                b_list[i] *= 2
-                next_climbing.append(i)
-            else:
-                trials[i].append(
-                    Trial(
-                        c=c_list[i],
-                        b=b_list[i],
-                        succeeded=True,
-                        iterations=outcome.iterations,
-                        rounds=delta_rounds,
-                        messages=delta_messages,
-                    )
-                )
-                results[i] = DoublingResult(
-                    result=outcome, trials=tuple(trials[i]), ledger=ledger_vec[i]
-                )
-        climbing = next_climbing
-    if climbing:
-        i = climbing[0]
-        raise ConstructionFailedError(
-            f"doubling search failed after {max_trials} trials "
-            f"(last estimates c={c_list[i] // 2}, b={b_list[i] // 2})"
-        )
-    return results
+
+    return _climb(
+        rung,
+        [partition.size for partition in partitions],
+        ledger_vec,
+        c_list,
+        b_list,
+        state_list,
+        max_trials=max_trials,
+        warm_start=warm_start,
+    )
 
 
 __all__ = [

@@ -91,7 +91,11 @@ import heapq
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.axes import Axis
-from repro.congest.randomness import seed_chunk_count
+from repro.congest.randomness import (
+    draw_shared_seed,
+    seed_chunk_count,
+    share_randomness,
+)
 from repro.congest.topology import Edge, Topology
 from repro.congest.trace import RoundLedger
 from repro.core.core_slow import CoreOutcome
@@ -127,6 +131,25 @@ def share_randomness_cost(n: int, height: int) -> Tuple[int, int]:
     if n <= 1:
         return 0, 0
     return height + chunks - 1, chunks * (n - 1)
+
+
+def _shared_seed(
+    topology: Topology, tree: SpanningTree, seed: int, ledger: RoundLedger, mode: str
+) -> int:
+    """Draw the shared seed and charge its distribution on ``ledger``.
+
+    ``"direct"`` (a construction mode or an application backend) draws
+    the seed centrally and charges :func:`share_randomness_cost`;
+    ``"simulate"`` runs the share-randomness program, which charges its
+    measured cost.  The one draw-and-charge site of the construction
+    and the applications.
+    """
+    if mode == "direct":
+        rounds, messages = share_randomness_cost(topology.n, tree.height)
+        ledger.charge_phase("share-randomness", rounds, messages)
+        return draw_shared_seed(topology.n, seed)
+    shared_seed, _result = share_randomness(topology, tree, seed=seed, ledger=ledger)
+    return shared_seed
 
 
 def verification_cost(

@@ -14,6 +14,14 @@ passed Verification before the budget ran out, and the next trial
 — only the still-bad parts are constructed for with the doubled
 estimates, and the iterations the failed trial consumed are recorded
 on its :class:`Trial`.
+
+One private driver climbs this ladder over a list of instances: the
+trial budget, the per-rung :class:`Trial` records, the warm-start carry,
+the doubling and the exhaustion error live there once.
+:func:`find_shortcut_doubling` climbs it for one instance with
+:func:`~repro.core.find_shortcut.find_shortcut` as its rung, and
+:func:`repro.core.batch.find_shortcut_doubling_batch` for a whole batch
+with one lockstep wave per rung.
 """
 
 from __future__ import annotations
@@ -21,12 +29,12 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.congest.randomness import draw_shared_seed, mix, share_randomness
+from repro.congest.randomness import mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
-from repro.core.construct_fast import resolve_mode, share_randomness_cost
+from repro.core.construct_fast import _shared_seed, resolve_mode
 from repro.core.find_shortcut import (
     ConstructionState,
     FindShortcutResult,
@@ -132,68 +140,111 @@ def find_shortcut_doubling(
     if ledger is None:
         ledger = RoundLedger(barrier_depth=tree.height)
     if use_fast and shared_seed is None:
-        if mode == "direct":
-            shared_seed = draw_shared_seed(topology.n, seed)
-            rounds, messages = share_randomness_cost(topology.n, tree.height)
-            ledger.charge_phase("share-randomness", rounds, messages)
-        else:
-            shared_seed, _result = share_randomness(
-                topology, tree, seed=seed, ledger=ledger
-            )
-    trials: List[Trial] = []
-    carried: Optional[ConstructionState] = initial_state
-    c, b = max(1, c_start), max(1, b_start)
+        shared_seed = _shared_seed(topology, tree, seed, ledger, mode)
+
+    def rung(trial_index, climbing, c, b, budgets, carried):
+        try:
+            return [
+                find_shortcut(
+                    topology,
+                    tree,
+                    partition,
+                    c[0],
+                    b[0],
+                    use_fast=use_fast,
+                    seed=mix(seed, 1000 + trial_index),
+                    shared_seed=shared_seed,
+                    gamma=gamma,
+                    max_iterations=budgets[0],
+                    ledger=ledger,
+                    mode=mode,
+                    warm_start=carried[0],
+                )
+            ]
+        except ConstructionFailedError as error:
+            return [error]
+
+    return _climb(
+        rung,
+        [partition.size],
+        [ledger],
+        [c_start],
+        [b_start],
+        [initial_state],
+        max_trials=max_trials,
+        warm_start=warm_start,
+    )[0]
+
+
+def _climb(
+    rung: Callable,
+    part_counts: Sequence[int],
+    ledgers: Sequence[RoundLedger],
+    c_starts: Sequence[int],
+    b_starts: Sequence[int],
+    initial_states: Sequence[Optional[ConstructionState]],
+    *,
+    max_trials: int,
+    warm_start: bool,
+) -> List[DoublingResult]:
+    """The Appendix A ladder over a list of instances, rung by rung.
+
+    ``rung(trial_index, climbing, c, b, budgets, carried)`` runs one
+    FindShortcut trial for each index in ``climbing`` (the lists are
+    indexed by instance) and returns, in ``climbing`` order, each
+    one's :class:`~repro.core.find_shortcut.FindShortcutResult` or its
+    :class:`~repro.errors.ConstructionFailedError` value.  A success
+    leaves the ladder; a failure carries its frozen parts (with
+    ``warm_start``) and climbs on with doubled estimates.  Every trial
+    records the rounds and messages its rung added to the instance's
+    ledger.
+    """
+    size = len(part_counts)
+    c = [max(1, value) for value in c_starts]
+    b = [max(1, value) for value in b_starts]
+    carried = list(initial_states)
     # A tight per-trial budget: the halving argument needs ~log2 N
     # iterations when the estimates are adequate, so a trial that
     # exceeds log2 N + 2 is declared failed and the estimates double.
-    trial_budget = max(3, math.ceil(math.log2(partition.size + 1)) + 2)
+    budgets = [max(3, math.ceil(math.log2(count + 1)) + 2) for count in part_counts]
+    trials: List[List[Trial]] = [[] for _ in range(size)]
+    results: List = [None] * size
+    climbing = list(range(size))
     for trial_index in range(max_trials):
-        rounds_before = ledger.total_rounds
-        messages_before = ledger.total_messages
-        try:
-            result = find_shortcut(
-                topology,
-                tree,
-                partition,
-                c,
-                b,
-                use_fast=use_fast,
-                seed=mix(seed, 1000 + trial_index),
-                shared_seed=shared_seed,
-                gamma=gamma,
-                max_iterations=trial_budget,
-                ledger=ledger,
-                mode=mode,
-                warm_start=carried,
-            )
-        except ConstructionFailedError as error:
-            trials.append(
+        if not climbing:
+            break
+        before = [
+            (ledgers[i].total_rounds, ledgers[i].total_messages) for i in climbing
+        ]
+        outcomes = rung(trial_index, climbing, c, b, budgets, carried)
+        still = []
+        for i, outcome, (rounds, messages) in zip(climbing, outcomes, before):
+            failed = isinstance(outcome, ConstructionFailedError)
+            trials[i].append(
                 Trial(
-                    c=c,
-                    b=b,
-                    succeeded=False,
-                    iterations=error.iterations,
-                    rounds=ledger.total_rounds - rounds_before,
-                    messages=ledger.total_messages - messages_before,
+                    c=c[i],
+                    b=b[i],
+                    succeeded=not failed,
+                    iterations=outcome.iterations,
+                    rounds=ledgers[i].total_rounds - rounds,
+                    messages=ledgers[i].total_messages - messages,
                 )
             )
-            if warm_start and error.state is not None:
-                carried = error.state
-            c *= 2
-            b *= 2
-            continue
-        trials.append(
-            Trial(
-                c=c,
-                b=b,
-                succeeded=True,
-                iterations=result.iterations,
-                rounds=ledger.total_rounds - rounds_before,
-                messages=ledger.total_messages - messages_before,
-            )
+            if not failed:
+                results[i] = DoublingResult(
+                    result=outcome, trials=tuple(trials[i]), ledger=ledgers[i]
+                )
+                continue
+            if warm_start and outcome.state is not None:
+                carried[i] = outcome.state
+            c[i] *= 2
+            b[i] *= 2
+            still.append(i)
+        climbing = still
+    if climbing:
+        i = climbing[0]
+        raise ConstructionFailedError(
+            f"doubling search failed after {max_trials} trials "
+            f"(last estimates c={c[i] // 2}, b={b[i] // 2})"
         )
-        return DoublingResult(result=result, trials=tuple(trials), ledger=ledger)
-    raise ConstructionFailedError(
-        f"doubling search failed after {max_trials} trials "
-        f"(last estimates c={c // 2}, b={b // 2})"
-    )
+    return results

@@ -29,19 +29,12 @@ import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.congest.randomness import (
-    draw_shared_seed,
-    mix,
-    share_randomness,
-)
+from repro.congest.randomness import mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
-from repro.core.construct_fast import (
-    resolve_mode,
-    share_randomness_cost,
-)
+from repro.core.construct_fast import _shared_seed, resolve_mode
 from repro.core.core_fast import core_fast
 from repro.core.core_slow import core_slow
 from repro.core.shortcut import TreeRestrictedShortcut
@@ -297,14 +290,7 @@ def find_shortcut(
     if max_iterations is None:
         max_iterations = default_iteration_limit(partition.size)
     if use_fast and shared_seed is None:
-        if mode == "direct":
-            shared_seed = draw_shared_seed(topology.n, seed)
-            rounds, messages = share_randomness_cost(topology.n, tree.height)
-            ledger.charge_phase("share-randomness", rounds, messages)
-        else:
-            shared_seed, _result = share_randomness(
-                topology, tree, seed=seed, ledger=ledger
-            )
+        shared_seed = _shared_seed(topology, tree, seed, ledger, mode)
 
     if warm_start is not None:
         # Never trust a carried state blindly: the topology may have
@@ -318,18 +304,13 @@ def find_shortcut(
         accumulated = TreeRestrictedShortcut.empty(tree, partition)
     good_history: List[FrozenSet[int]] = []
     iteration = 0
-    while remaining:
-        if iteration >= max_iterations:
-            raise ConstructionFailedError(
-                f"FindShortcut(c={c}, b={b}): {len(remaining)} parts still "
-                f"bad after {iteration} iterations — parameters too small?",
-                iterations=iteration,
-                state=ConstructionState(
-                    remaining=frozenset(remaining),
-                    shortcut=accumulated,
-                    good_history=tuple(good_history),
-                ),
-            )
+    while True:
+        settled = _settled(
+            c, b, iteration, max_iterations, remaining, good_history,
+            ledger, lambda: accumulated,
+        )
+        if settled is not None:
+            break
         iteration += 1
         if use_fast:
             outcome = core_fast(
@@ -374,11 +355,50 @@ def find_shortcut(
             )
             remaining -= good
 
-    return FindShortcutResult(
-        shortcut=accumulated,
-        c=c,
-        b=b,
-        iterations=iteration,
-        good_history=tuple(good_history),
-        ledger=ledger,
+    if isinstance(settled, ConstructionFailedError):
+        raise settled
+    return settled
+
+
+def _settled(
+    c: int,
+    b: int,
+    iterations: int,
+    max_iterations: int,
+    remaining,
+    good_history: Sequence[FrozenSet[int]],
+    ledger: RoundLedger,
+    shortcut: Callable[[], TreeRestrictedShortcut],
+):
+    """How a FindShortcut run ends after ``iterations``, or ``None`` if
+    it goes on.
+
+    A run with no bad part left succeeds with a
+    :class:`FindShortcutResult`; one whose budget is spent fails with
+    the :class:`~repro.errors.ConstructionFailedError` *value* (not
+    raised), carrying its frozen progress for a warm start.
+    ``shortcut`` builds the frozen shortcut, only when the run ends.
+    Shared by :func:`find_shortcut` and the batched wave
+    (:mod:`repro.core.batch`), so both end their runs identically.
+    """
+    if not remaining:
+        return FindShortcutResult(
+            shortcut=shortcut(),
+            c=c,
+            b=b,
+            iterations=iterations,
+            good_history=tuple(good_history),
+            ledger=ledger,
+        )
+    if iterations < max_iterations:
+        return None
+    return ConstructionFailedError(
+        f"FindShortcut(c={c}, b={b}): {len(remaining)} parts still "
+        f"bad after {iterations} iterations — parameters too small?",
+        iterations=iterations,
+        state=ConstructionState(
+            remaining=frozenset(remaining),
+            shortcut=shortcut(),
+            good_history=tuple(good_history),
+        ),
     )

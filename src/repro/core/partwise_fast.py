@@ -150,20 +150,14 @@ def bfs_and_shared_randomness(
     contract has a single implementation.
     """
     from repro.congest.bfs import build_bfs_tree, build_bfs_tree_direct
-    from repro.congest.randomness import draw_shared_seed, share_randomness
-    from repro.core.construct_fast import share_randomness_cost
+    from repro.core.construct_fast import _shared_seed
 
-    if resolve_backend(backend) == "direct":
+    backend = resolve_backend(backend)
+    if backend == "direct":
         tree = build_bfs_tree_direct(topology, 0, ledger=ledger)
-        shared_seed = draw_shared_seed(topology.n, seed)
-        rounds, messages = share_randomness_cost(topology.n, tree.height)
-        ledger.charge_phase("share-randomness", rounds, messages)
     else:
         tree, _bfs_result = build_bfs_tree(topology, 0, seed=seed, ledger=ledger)
-        shared_seed, _rand_result = share_randomness(
-            topology, tree, seed=seed, ledger=ledger
-        )
-    return tree, shared_seed
+    return tree, _shared_seed(topology, tree, seed, ledger, backend)
 
 
 class PartScan:

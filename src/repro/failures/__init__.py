@@ -13,10 +13,10 @@ edge failures (ROADMAP item 2):
   doubling warm start: frozen parts untouched by the failure are kept,
   only broken parts are reconstructed, and the result is differentially
   ==-verified against a full rebuild;
-* :mod:`repro.failures.batch_sweep` — the ``batch=`` axis of the sweep
-  itself: a whole scenario grid's survivors packed into one batched
-  doubling ladder (degradation and repair-vs-rebuild), ==-bit-identical
-  to the per-scenario loop.
+* :mod:`repro.failures.batch_sweep` — the ``batch=`` axis of the
+  degradation sweep itself: a whole scenario grid's survivors packed
+  into one batched doubling ladder, ==-bit-identical to the
+  per-scenario loop.
 
 The array-native survivor derivation itself lives on the topology:
 :meth:`Topology.delete_edges <repro.congest.topology.Topology.delete_edges>`,
@@ -25,10 +25,7 @@ and :func:`component_subtopologies
 <repro.congest.topology.component_subtopologies>`.
 """
 
-from repro.failures.batch_sweep import (
-    repair_vs_rebuild_batch,
-    scenarios_batch,
-)
+from repro.failures.batch_sweep import scenarios_batch
 from repro.failures.degradation import (
     Baseline,
     DegradationRecord,
@@ -39,12 +36,8 @@ from repro.failures.degradation import (
 from repro.failures.repair import (
     RepairComparison,
     RepairResult,
-    SearchSetup,
     assert_valid,
-    finish_search,
     patch_spanning_tree,
-    prepare_rebuild,
-    prepare_repair,
     rebuild_shortcut,
     repair_shortcut,
     repair_vs_rebuild,
@@ -66,21 +59,16 @@ __all__ = [
     "FailureScenario",
     "RepairComparison",
     "RepairResult",
-    "SearchSetup",
     "assert_valid",
     "degradation_record",
     "enumerate_kwise",
-    "finish_search",
     "intact_baseline",
     "measure_degradation",
     "node_srlg_groups",
     "patch_spanning_tree",
-    "prepare_rebuild",
-    "prepare_repair",
     "rebuild_shortcut",
     "repair_shortcut",
     "repair_vs_rebuild",
-    "repair_vs_rebuild_batch",
     "sample_bernoulli",
     "sample_srlg",
     "scenarios_batch",

@@ -277,10 +277,8 @@ class SearchSetup:
     """Everything a repair (or rebuild) needs *before* the doubling
     search: the derived survivor instance, the pre-charged ledger, and
     the warm-start inputs.  :func:`prepare_repair` /
-    :func:`prepare_rebuild` build one, the doubling search consumes it
-    (per instance, or batched through
-    :func:`repro.core.batch.find_shortcut_doubling_batch`), and
-    :func:`finish_search` assembles the :class:`RepairResult`.
+    :func:`prepare_rebuild` build one, the doubling search consumes it,
+    and :func:`finish_search` assembles the :class:`RepairResult`.
     """
 
     survivor: Topology

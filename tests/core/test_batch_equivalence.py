@@ -8,10 +8,14 @@ genus_chain families, mixed partition families, ragged batches with
 different ``n`` per instance, and a batch of one.
 """
 
+import math
+
 import pytest
 
 from repro.analysis.instances import InstanceSpec, hydrate
+from repro.congest.randomness import draw_shared_seed, mix
 from repro.congest.topology import Topology
+from repro.congest.trace import RoundLedger
 from repro.core import quality_fast
 from repro.core.batch import (
     find_shortcut_doubling_batch,
@@ -19,8 +23,11 @@ from repro.core.batch import (
     measure_batch_vector,
     using_batch,
 )
-from repro.core.construct_fast import verification_counts_direct
-from repro.core.doubling import find_shortcut_doubling
+from repro.core.construct_fast import (
+    share_randomness_cost,
+    verification_counts_direct,
+)
+from repro.core.doubling import DoublingResult, Trial, find_shortcut_doubling
 from repro.core.existence import greedy_capped_shortcut
 from repro.core.find_shortcut import ConstructionState, find_shortcut
 from repro.core.shortcut import TreeRestrictedShortcut
@@ -210,6 +217,66 @@ def test_ladder_identical_over_ragged_batch(ragged, ragged_seeds):
         _assert_doubling_equal(reference, batched)
 
 
+def _appendix_a_by_hand(topology, tree, partition, seed):
+    """The Appendix A search written out from its definition: one
+    share-randomness charge, trials of ``max(3, ceil(log2(N + 1)) + 2)``
+    iterations, and each failed trial's frozen parts carried into the
+    next trial at doubled estimates."""
+    ledger = RoundLedger(barrier_depth=tree.height)
+    ledger.charge_phase(
+        "share-randomness", *share_randomness_cost(topology.n, tree.height)
+    )
+    shared_seed = draw_shared_seed(topology.n, seed)
+    budget = max(3, math.ceil(math.log2(partition.size + 1)) + 2)
+    c = b = 1
+    state = None
+    trials = []
+    for trial_index in range(64):
+        rounds, messages = ledger.total_rounds, ledger.total_messages
+        try:
+            outcome = find_shortcut(
+                topology, tree, partition, c, b,
+                seed=mix(seed, 1000 + trial_index), shared_seed=shared_seed,
+                max_iterations=budget, ledger=ledger, mode="direct",
+                warm_start=state,
+            )
+        except ConstructionFailedError as error:
+            outcome, state = error, error.state
+        succeeded = not isinstance(outcome, ConstructionFailedError)
+        trials.append(
+            Trial(
+                c=c, b=b, succeeded=succeeded,
+                iterations=outcome.iterations,
+                rounds=ledger.total_rounds - rounds,
+                messages=ledger.total_messages - messages,
+            )
+        )
+        if succeeded:
+            return DoublingResult(
+                result=outcome, trials=tuple(trials), ledger=ledger
+            )
+        c, b = 2 * c, 2 * b
+    raise AssertionError("no trial succeeded")
+
+
+def test_ladder_follows_appendix_a(ragged, ragged_seeds):
+    # The vector ladder against the search written out by hand, not
+    # against the per-instance driver it shares.
+    topologies, trees, partitions, _shortcuts = ragged
+    vector = find_shortcut_doubling_batch(
+        topologies, trees, partitions, seeds=ragged_seeds, batch="vector"
+    )
+    carried = 0
+    for t, tr, p, s, batched in zip(
+        topologies, trees, partitions, ragged_seeds, vector
+    ):
+        _assert_doubling_equal(_appendix_a_by_hand(t, tr, p, s), batched)
+        constructed = set().union(*batched.result.good_history)
+        carried += constructed < set(range(p.size))
+    # Some instance finished on parts frozen by an earlier failed trial.
+    assert carried
+
+
 def test_fixed_cb_batch_identical(ragged, ragged_seeds):
     # Rungs that start at a given (c, b) rather than at (1, 1).
     topologies, trees, partitions, _shortcuts = ragged
@@ -227,23 +294,19 @@ def test_fixed_cb_batch_identical(ragged, ragged_seeds):
         _assert_doubling_equal(reference, batched)
 
 
-@pytest.mark.parametrize("cs", [1, [2, 1, 3, 2, 1]])
-def test_core_slow_identical(ragged, ragged_seeds, cs):
-    # The Algorithm 1 (CoreSlow) sweep at shared and per-instance
-    # starting congestion parameters.
+def test_ladder_per_instance_c_starts_identical(ragged, ragged_seeds):
+    # A different starting congestion estimate per instance.
     topologies, trees, partitions, _shortcuts = ragged
-    c_list = [cs] * 5 if isinstance(cs, int) else cs
+    c_starts = [2, 1, 3, 2, 1]
     loop = [
-        find_shortcut_doubling(
-            t, tr, p, seed=s, c_start=c, use_fast=False, mode="direct"
-        )
+        find_shortcut_doubling(t, tr, p, seed=s, c_start=c, mode="direct")
         for t, tr, p, s, c in zip(
-            topologies, trees, partitions, ragged_seeds, c_list
+            topologies, trees, partitions, ragged_seeds, c_starts
         )
     ]
     vector = find_shortcut_doubling_batch(
-        topologies, trees, partitions, seeds=ragged_seeds, c_starts=cs,
-        use_fast=False, batch="vector",
+        topologies, trees, partitions, seeds=ragged_seeds, c_starts=c_starts,
+        batch="vector",
     )
     for reference, batched in zip(loop, vector):
         _assert_doubling_equal(reference, batched)
@@ -262,45 +325,6 @@ def _states_for(trees, partitions, subsets):
         )
         for tree, partition, subset in zip(trees, partitions, subsets)
     ]
-
-
-def test_core_slow_participating_subsets_identical(ragged, ragged_seeds):
-    # The CoreSlow sweep restricted to a subset of each instance's parts.
-    topologies, trees, partitions, _shortcuts = ragged
-    states = _states_for(
-        trees, partitions, [None, [0, 2], [1], None, [0, 1, 2]]
-    )
-    loop = [
-        find_shortcut_doubling(
-            t, tr, p, seed=s, c_start=2, use_fast=False,
-            initial_state=state, mode="direct",
-        )
-        for t, tr, p, s, state in zip(
-            topologies, trees, partitions, ragged_seeds, states
-        )
-    ]
-    vector = find_shortcut_doubling_batch(
-        topologies, trees, partitions, seeds=ragged_seeds, c_starts=2,
-        use_fast=False, initial_states=states, batch="vector",
-    )
-    for reference, batched in zip(loop, vector):
-        _assert_doubling_equal(reference, batched)
-
-
-def test_ladder_use_fast_false_identical(ragged, ragged_seeds):
-    topologies, trees, partitions, _shortcuts = ragged
-    loop = [
-        find_shortcut_doubling(
-            t, tr, p, seed=s, use_fast=False, mode="direct"
-        )
-        for t, tr, p, s in zip(topologies, trees, partitions, ragged_seeds)
-    ]
-    vector = find_shortcut_doubling_batch(
-        topologies, trees, partitions, seeds=ragged_seeds, use_fast=False,
-        batch="vector",
-    )
-    for reference, batched in zip(loop, vector):
-        _assert_doubling_equal(reference, batched)
 
 
 def test_ladder_warm_start_identical(ragged, ragged_seeds):
@@ -405,9 +429,10 @@ class _ForestProbe:
     """Checks every wave iteration's forest-derived count maps against
     the per-instance count maps of that iteration's own edge slots.
 
-    The sweep and flood spies record the tentative shortcut's slots
-    (the sweep's usable pairs, or the flood bits of usable nodes, which
-    the flood overwrites when it runs); the forest spy then requires
+    The sweep spy records the nodes whose parent edge the sweep made
+    unusable, and the flood spy checks that the flood forwards over
+    every other parent edge and records the tentative shortcut's slots
+    (the flood bits of usable nodes); the forest spy then requires
     ``verification_counts_direct`` on a shortcut built from those slots
     to agree map for map.
     """
@@ -421,17 +446,21 @@ class _ForestProbe:
         self.non_remaining = 0
         self.merges = 0
         self.slots = None
+        self.unusable = None
         sweep = batch_module._upward_sweep_batch
         flood = batch_module._flood_up_batch
         forest = batch_module._forest_counts
         merge = batch_module.merge_components
 
         def spy_sweep(np_, batch, own, caps):
-            out = sweep(np_, batch, own, caps)
-            self.slots = (out[0], out[1])
-            return out
+            unusable, rounds, messages = sweep(np_, batch, own, caps)
+            self.unusable = unusable
+            return unusable, rounds, messages
 
         def spy_flood(np_, batch, own, usable):
+            expected = batch.tree_parent >= 0
+            expected[self.unusable] = False
+            assert (usable == expected).all()
             seen, rounds, messages = flood(np_, batch, own, usable)
             rows = np.flatnonzero(usable & seen.any(axis=1))
             bits = np.unpackbits(
@@ -507,21 +536,18 @@ def _hand_built_instance():
     return instance.topology, instance.tree, Partition(144, parts)
 
 
-@pytest.mark.parametrize("use_fast", [True, False])
 def test_forest_counts_match_clone_table_ragged(
-    ragged, ragged_seeds, forest_probe, use_fast
+    ragged, ragged_seeds, forest_probe
 ):
     topologies, trees, partitions, _shortcuts = ragged
     find_shortcut_doubling_batch(
-        topologies, trees, partitions, seeds=ragged_seeds,
-        use_fast=use_fast, batch="vector",
+        topologies, trees, partitions, seeds=ragged_seeds, batch="vector",
     )
     assert forest_probe.iterations > 0
     assert forest_probe.non_remaining > 0
 
 
-@pytest.mark.parametrize("use_fast", [True, False])
-def test_forest_counts_match_clone_table_hand_built(forest_probe, use_fast):
+def test_forest_counts_match_clone_table_hand_built(forest_probe):
     topology, tree, partition = _hand_built_instance()
     single = _single_node_instance()
     topologies = [topology, single[0], topology]
@@ -529,8 +555,7 @@ def test_forest_counts_match_clone_table_hand_built(forest_probe, use_fast):
     partitions = [partition, single[2], partition]
     seeds = [1, 2, 9]
     vector = find_shortcut_doubling_batch(
-        topologies, trees, partitions, seeds=seeds, use_fast=use_fast,
-        batch="vector",
+        topologies, trees, partitions, seeds=seeds, batch="vector",
     )
     assert forest_probe.iterations > 0
     assert forest_probe.non_remaining > 0
@@ -539,9 +564,7 @@ def test_forest_counts_match_clone_table_hand_built(forest_probe, use_fast):
     for t, tr, p, s, batched in zip(
         topologies, trees, partitions, seeds, vector
     ):
-        reference = find_shortcut_doubling(
-            t, tr, p, seed=s, use_fast=use_fast, mode="direct"
-        )
+        reference = find_shortcut_doubling(t, tr, p, seed=s, mode="direct")
         _assert_doubling_equal(reference, batched)
 
 

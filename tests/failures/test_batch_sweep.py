@@ -10,12 +10,10 @@ import pytest
 
 from repro.analysis.instances import InstanceSpec, hydrate
 from repro.congest.topology import TopologyError
-from repro.core.doubling import find_shortcut_doubling
 from repro.errors import ShortcutError  # noqa: F401 - parity with sibling suites
 from repro.failures import (
     enumerate_kwise,
     intact_baseline,
-    repair_vs_rebuild_batch,
     sample_bernoulli,
     sample_srlg,
     scenarios_batch,
@@ -24,7 +22,6 @@ from repro.failures import (
 )
 from repro.failures.scenarios import FailureScenario
 from repro.graphs.batch_csr import numpy_available
-from repro.graphs.csr import bfs_spanning_tree
 
 pytestmark = pytest.mark.skipif(
     not numpy_available(),
@@ -128,32 +125,3 @@ def test_scenario_sweep_without_dilation_identical(family):
     )
     assert vector == loop
 
-
-def test_repair_vs_rebuild_identical(family):
-    topology, partition, scenarios = family
-    tree = bfs_spanning_tree(topology, 0)
-    old = find_shortcut_doubling(topology, tree, partition, seed=5, mode="direct")
-    survivors = survivors_batch(topology, scenarios, batch="loop")
-    failure_sets = [
-        scenario.edges
-        for scenario, survivor in zip(scenarios, survivors)
-        if len(survivor.components()) == 1
-    ][:4]
-    assert failure_sets
-    loop = repair_vs_rebuild_batch(
-        topology, old, failure_sets, seed=5, mode="direct", batch="loop"
-    )
-    vector = repair_vs_rebuild_batch(
-        topology, old, failure_sets, seed=5, mode="direct", batch="vector"
-    )
-    for reference, batched in zip(loop, vector):
-        for side in ("repair", "rebuild"):
-            a = getattr(reference, side)
-            b = getattr(batched, side)
-            assert b.trials == a.trials
-            assert b.shortcut.subgraphs == a.shortcut.subgraphs
-            assert b.ledger == a.ledger
-            assert b.frozen_parts == a.frozen_parts
-            assert b.part_origin == a.part_origin
-            assert b.tree_rebuilt == a.tree_rebuilt
-        assert batched.rounds_speedup == reference.rounds_speedup
