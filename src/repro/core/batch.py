@@ -699,10 +699,19 @@ def _find_shortcut_wave(
     :class:`BatchCSR` ride along, and each instance's part-internal
     components are found once, by the first sub-batch holding it
     (:meth:`BatchCSR.share_member_components`).
+
+    An instance whose iteration freezes no part replays the repeats of
+    that iteration at once, as the per-instance loop does
+    (:func:`repro.core.find_shortcut._replay_stall`): while its next
+    CoreFast draw equals this one and its budget lasts, each repeat is
+    charged the same ledger records and an empty good set without a
+    kernel.  At ``p = 1`` that spends the budget, so the instance leaves
+    the lockstep and the sub-batch shrinks for the instances still
+    freezing parts.
     """
     from repro.core.construct_fast import charge_verification_terms
     from repro.core.core_fast import active_parts, sampling_parameters
-    from repro.core.find_shortcut import _settled
+    from repro.core.find_shortcut import _replay_stall, _settled
 
     size = len(topologies)
     remaining: List[set] = []
@@ -801,6 +810,7 @@ def _find_shortcut_wave(
         # Global part ids, collected in lists and set in one scatter each.
         rem_ids: List[int] = []
         act_ids: List[int] = []
+        starts = [len(ledgers[i].records) for i in active]
         for k, i in enumerate(active):
             iterations[i] += 1
             base = int(sub.part_offsets[k])
@@ -868,6 +878,15 @@ def _find_shortcut_wave(
                 for p in good:
                     good_global[base + p] = True
                 remaining[i] -= good
+            else:
+                # A stall repeats while the draw does: charge the
+                # repeats now, so the instance skips them.
+                iterations[i] = _replay_stall(
+                    iterations[i], limits[i], partitions[i],
+                    sampling_parameters(topologies[i].n, c_list[i], gamma)[0],
+                    shared_seeds[i], remaining[i], histories[i], ledgers[i],
+                    starts[k],
+                )
 
         # Freeze the good parts' edge slots into the accumulators.
         if good_global.any():

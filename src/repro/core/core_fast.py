@@ -49,7 +49,11 @@ def sampling_parameters(n: int, c: int, gamma: float = 2.0) -> Tuple[float, int]
 
     ``p = min(1, γ log2(n) / (2c))`` and ``τ = max(1, ⌈4 c p⌉)``; when
     ``c`` is small enough that ``p = 1`` the subroutine degenerates to
-    an exact count with threshold ``4c``.
+    an exact count with threshold ``4c``.  Every participating part is
+    then active, so a FindShortcut iteration is a function of its
+    ``remaining`` parts alone: after one that freezes nothing, direct
+    mode replays it instead of recomputing it
+    (:func:`repro.core.find_shortcut.find_shortcut`).
     """
     if c < 1:
         raise ShortcutError("congestion parameter c must be >= 1")

@@ -35,7 +35,7 @@ from repro.congest.randomness import mix
 from repro.congest.topology import Topology
 from repro.congest.trace import RoundLedger
 from repro.core.construct_fast import _shared_seed, resolve_mode
-from repro.core.core_fast import core_fast
+from repro.core.core_fast import active_parts, core_fast, sampling_parameters
 from repro.core.core_slow import core_slow
 from repro.core.shortcut import TreeRestrictedShortcut
 from repro.core.verification import verification
@@ -276,6 +276,15 @@ def find_shortcut(
     engines' actual counts (exact phases to the round, the verification
     bound as a dominating estimate).
 
+    A replayed iteration is charged exactly like one that ran.  In
+    direct mode an iteration that freezes no part leaves ``remaining``
+    as it was, so the next one recomputes it unless CoreFast draws a
+    different active set (at ``p = 1`` it never does; CoreSlow draws
+    nothing).  Such repeats run no kernel: :func:`_replay_stall`
+    appends the stalled iteration's records and empty good set again,
+    while the draw repeats and the budget lasts.  ``mode="simulate"``
+    runs every iteration.
+
     Raises
     ------
     ConstructionFailedError
@@ -312,6 +321,7 @@ def find_shortcut(
         if settled is not None:
             break
         iteration += 1
+        start = len(ledger.records)
         if use_fast:
             outcome = core_fast(
                 topology,
@@ -354,6 +364,12 @@ def find_shortcut(
                 outcome.shortcut.restricted_to(good)
             )
             remaining -= good
+        elif mode == "direct":
+            iteration = _replay_stall(
+                iteration, max_iterations, partition,
+                sampling_parameters(topology.n, c, gamma)[0] if use_fast else None,
+                shared_seed, remaining, good_history, ledger, start,
+            )
 
     if isinstance(settled, ConstructionFailedError):
         raise settled
@@ -402,3 +418,44 @@ def _settled(
             good_history=tuple(good_history),
         ),
     )
+
+
+def _replay_stall(
+    iterations: int,
+    max_iterations: int,
+    partition: Partition,
+    p: Optional[float],
+    shared_seed: Optional[int],
+    remaining,
+    good_history: List[FrozenSet[int]],
+    ledger: RoundLedger,
+    start: int,
+) -> int:
+    """Charge the direct-mode iterations that would repeat a stall.
+
+    Iteration ``iterations`` froze no part (the last entry of
+    ``good_history`` is empty) and charged ``ledger.records[start:]``.
+    A direct-mode iteration is a function of ``remaining`` and its
+    CoreFast draw alone (the per-iteration ``seed`` feeds only the
+    simulated programs), so while the next iteration draws the same
+    active set — :func:`~repro.core.core_fast.active_parts` over
+    ``remaining`` with activation probability ``p``; ``p=None`` for
+    CoreSlow, which draws nothing — and the budget lasts, it would
+    recompute the same sweep, flood and verdict.  Each such iteration
+    is charged without running a kernel: the same records again and an
+    empty good set.  Returns the iterations consumed.  Shared by
+    :func:`find_shortcut` and the batched wave (:mod:`repro.core.batch`).
+    """
+
+    def draw(iteration: int) -> Optional[FrozenSet[int]]:
+        if p is None:
+            return None
+        return active_parts(partition, mix(shared_seed, iteration), p, remaining)
+
+    records = ledger.records[start:]
+    stalled = draw(iterations)
+    while iterations < max_iterations and draw(iterations + 1) == stalled:
+        iterations += 1
+        ledger.records.extend(records)
+        good_history.append(good_history[-1])
+    return iterations

@@ -272,145 +272,6 @@ def _derive_survivor(
     return survivor, failed
 
 
-@dataclass(frozen=True)
-class SearchSetup:
-    """Everything a repair (or rebuild) needs *before* the doubling
-    search: the derived survivor instance, the pre-charged ledger, and
-    the warm-start inputs.  :func:`prepare_repair` /
-    :func:`prepare_rebuild` build one, the doubling search consumes it,
-    and :func:`finish_search` assembles the :class:`RepairResult`.
-    """
-
-    survivor: Topology
-    tree: SpanningTree
-    partition: Partition
-    part_origin: Tuple[int, ...]
-    frozen_parts: FrozenSet[int]
-    tree_rebuilt: bool
-    ledger: RoundLedger
-    state: Optional[ConstructionState]
-    c_start: int
-    b_start: int
-
-
-def prepare_repair(
-    topology: Topology,
-    old: OldResult,
-    failed_edges: Iterable[Tuple[int, int]],
-) -> SearchSetup:
-    """Derive the warm-started search instance for a repair.
-
-    Patches the spanning tree, splits the partition, charges the
-    failure-report (and tree-patch) phases, and freezes every part the
-    failure did not touch into a
-    :class:`~repro.core.find_shortcut.ConstructionState`.
-    """
-    old_result = _unwrap(old)
-    survivor, failed = _derive_survivor(topology, failed_edges)
-    old_tree = old_result.shortcut.tree
-    tree, patch_waves = patch_spanning_tree(survivor, old_tree, failed)
-    tree_rebuilt = patch_waves > 0
-    partition, origin = split_partition(survivor, old_result.shortcut.partition)
-    ledger = RoundLedger(barrier_depth=tree.height)
-    # Every node reports its dead incident edges up the tree: one
-    # convergecast + broadcast of the "repair mode" decision.
-    ledger.charge_phase("repair/failure-report", 2 * tree.height + 1, 2 * survivor.m)
-    if patch_waves:
-        ledger.charge_phase(
-            "repair/tree-patch",
-            patch_waves * (2 * tree.height + 1),
-            patch_waves * 2 * survivor.m,
-        )
-
-    split_origins = _split_origins(origin)
-    old_shortcut = old_result.shortcut
-    tree_edges = tree.edges
-    subgraphs: List[FrozenSet[Edge]] = []
-    remaining = set()
-    for new_index, old_index in enumerate(origin):
-        subgraph = old_shortcut.subgraph(old_index)
-        reusable = (
-            old_index not in split_origins
-            and not (subgraph & failed)
-            and all(edge in tree_edges for edge in subgraph)
-        )
-        if reusable:
-            subgraphs.append(subgraph)
-        else:
-            subgraphs.append(frozenset())
-            remaining.add(new_index)
-    state = ConstructionState(
-        remaining=frozenset(remaining),
-        shortcut=TreeRestrictedShortcut(tree, partition, subgraphs),
-        good_history=(),
-    )
-    return SearchSetup(
-        survivor=survivor,
-        tree=tree,
-        partition=partition,
-        part_origin=origin,
-        frozen_parts=frozenset(range(partition.size)) - remaining,
-        tree_rebuilt=tree_rebuilt,
-        ledger=ledger,
-        state=state,
-        c_start=old_result.c,
-        b_start=old_result.b,
-    )
-
-
-def prepare_rebuild(
-    topology: Topology,
-    old: OldResult,
-    failed_edges: Iterable[Tuple[int, int]],
-) -> SearchSetup:
-    """Derive the from-scratch search instance for a rebuild: a fresh
-    BFS tree, no frozen parts, estimates back at ``(1, 1)``."""
-    old_result = _unwrap(old)
-    survivor, failed = _derive_survivor(topology, failed_edges)
-    old_tree = old_result.shortcut.tree
-    tree = bfs_spanning_tree(survivor, old_tree.root)
-    tree_rebuilt = any(edge in old_tree.edges for edge in failed)
-    partition, origin = split_partition(survivor, old_result.shortcut.partition)
-    ledger = RoundLedger(barrier_depth=tree.height)
-    ledger.charge_phase(
-        "rebuild/failure-report", 2 * tree.height + 1, 2 * survivor.m
-    )
-    # A full rebuild always reconstructs its BFS tree: it cannot know
-    # the old tree survived without checking, and the check is the
-    # build.
-    ledger.charge_phase("rebuild/bfs", tree.height + 1, 2 * survivor.m)
-    return SearchSetup(
-        survivor=survivor,
-        tree=tree,
-        partition=partition,
-        part_origin=origin,
-        frozen_parts=frozenset(),
-        tree_rebuilt=tree_rebuilt,
-        ledger=ledger,
-        state=None,
-        c_start=1,
-        b_start=1,
-    )
-
-
-def finish_search(setup: SearchSetup, outcome: DoublingResult) -> RepairResult:
-    """Assemble the :class:`RepairResult` from a completed doubling
-    search on a :class:`SearchSetup` instance."""
-    return RepairResult(
-        survivor=setup.survivor,
-        tree=setup.tree,
-        partition=setup.partition,
-        part_origin=setup.part_origin,
-        frozen_parts=setup.frozen_parts,
-        repaired_parts=frozenset(range(setup.partition.size))
-        - setup.frozen_parts,
-        tree_rebuilt=setup.tree_rebuilt,
-        result=outcome.result,
-        trials=outcome.trials,
-        ledger=setup.ledger,
-    )
-
-
 def repair_shortcut(
     topology: Topology,
     old: OldResult,
@@ -441,21 +302,67 @@ def repair_shortcut(
     convergecast + broadcast per tree-patch merge wave, and then
     whatever the warm-started search itself costs.
     """
-    setup = prepare_repair(topology, old, failed_edges)
+    old_result = _unwrap(old)
+    survivor, failed = _derive_survivor(topology, failed_edges)
+    tree, patch_waves = patch_spanning_tree(survivor, old_result.shortcut.tree, failed)
+    partition, origin = split_partition(survivor, old_result.shortcut.partition)
+    ledger = RoundLedger(barrier_depth=tree.height)
+    # Every node reports its dead incident edges up the tree: one
+    # convergecast + broadcast of the "repair mode" decision.
+    ledger.charge_phase("repair/failure-report", 2 * tree.height + 1, 2 * survivor.m)
+    if patch_waves:
+        ledger.charge_phase(
+            "repair/tree-patch",
+            patch_waves * (2 * tree.height + 1),
+            patch_waves * 2 * survivor.m,
+        )
+
+    split_origins = _split_origins(origin)
+    old_shortcut = old_result.shortcut
+    tree_edges = tree.edges
+    subgraphs: List[FrozenSet[Edge]] = []
+    remaining = set()
+    for new_index, old_index in enumerate(origin):
+        subgraph = old_shortcut.subgraph(old_index)
+        reusable = (
+            old_index not in split_origins
+            and not (subgraph & failed)
+            and all(edge in tree_edges for edge in subgraph)
+        )
+        if reusable:
+            subgraphs.append(subgraph)
+        else:
+            subgraphs.append(frozenset())
+            remaining.add(new_index)
     outcome = find_shortcut_doubling(
-        setup.survivor,
-        setup.tree,
-        setup.partition,
-        c_start=setup.c_start,
-        b_start=setup.b_start,
+        survivor,
+        tree,
+        partition,
+        c_start=old_result.c,
+        b_start=old_result.b,
         use_fast=use_fast,
         seed=seed,
-        ledger=setup.ledger,
+        ledger=ledger,
         mode=mode,
-        initial_state=setup.state,
+        initial_state=ConstructionState(
+            remaining=frozenset(remaining),
+            shortcut=TreeRestrictedShortcut(tree, partition, subgraphs),
+            good_history=(),
+        ),
         max_trials=max_trials,
     )
-    return finish_search(setup, outcome)
+    return RepairResult(
+        survivor=survivor,
+        tree=tree,
+        partition=partition,
+        part_origin=origin,
+        frozen_parts=frozenset(range(partition.size)) - remaining,
+        repaired_parts=frozenset(remaining),
+        tree_rebuilt=patch_waves > 0,
+        result=outcome.result,
+        trials=outcome.trials,
+        ledger=ledger,
+    )
 
 
 def rebuild_shortcut(
@@ -476,18 +383,41 @@ def rebuild_shortcut(
     This is what repair is differentially verified against and what the
     E19 ledger comparison measures repair's advantage over.
     """
-    setup = prepare_rebuild(topology, old, failed_edges)
+    old_result = _unwrap(old)
+    survivor, failed = _derive_survivor(topology, failed_edges)
+    old_tree = old_result.shortcut.tree
+    tree = bfs_spanning_tree(survivor, old_tree.root)
+    partition, origin = split_partition(survivor, old_result.shortcut.partition)
+    ledger = RoundLedger(barrier_depth=tree.height)
+    ledger.charge_phase(
+        "rebuild/failure-report", 2 * tree.height + 1, 2 * survivor.m
+    )
+    # A full rebuild always reconstructs its BFS tree: it cannot know
+    # the old tree survived without checking, and the check is the
+    # build.
+    ledger.charge_phase("rebuild/bfs", tree.height + 1, 2 * survivor.m)
     outcome = find_shortcut_doubling(
-        setup.survivor,
-        setup.tree,
-        setup.partition,
+        survivor,
+        tree,
+        partition,
         use_fast=use_fast,
         seed=seed,
-        ledger=setup.ledger,
+        ledger=ledger,
         mode=mode,
         max_trials=max_trials,
     )
-    return finish_search(setup, outcome)
+    return RepairResult(
+        survivor=survivor,
+        tree=tree,
+        partition=partition,
+        part_origin=origin,
+        frozen_parts=frozenset(),
+        repaired_parts=frozenset(range(partition.size)),
+        tree_rebuilt=any(edge in old_tree.edges for edge in failed),
+        result=outcome.result,
+        trials=outcome.trials,
+        ledger=ledger,
+    )
 
 
 def _split_origins(origin: Tuple[int, ...]) -> FrozenSet[int]:
